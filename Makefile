@@ -33,9 +33,11 @@ race:
 # test order: COW page semantics, concurrent forks, and the parallel-vs-
 # sequential determinism check are exactly the tests whose bugs only show
 # up under races and ordering. internal/cpu rides along for the superblock
-# fork-isolation and invalidation tests.
+# fork-isolation and invalidation tests; internal/fuzz prepares targets
+# while sessions run, and ptattack/pttrace drive the boot options end to
+# end.
 race-campaign:
-	$(GO) test -race -shuffle=on ./internal/mem/ ./internal/campaign/ ./internal/attack/ ./internal/kernel/ ./internal/netsim/ ./internal/fault/ ./internal/fuzz/ ./internal/cpu/ ./internal/serve/ ./internal/obs/ ./cmd/ptcampaign/ ./cmd/ptfault/ ./cmd/ptfuzz/ ./cmd/ptserve/
+	$(GO) test -race -shuffle=on ./internal/mem/ ./internal/campaign/ ./internal/attack/ ./internal/kernel/ ./internal/netsim/ ./internal/fault/ ./internal/fuzz/ ./internal/cpu/ ./internal/serve/ ./internal/obs/ ./cmd/ptattack/ ./cmd/ptcampaign/ ./cmd/ptfault/ ./cmd/ptfuzz/ ./cmd/ptserve/ ./cmd/pttrace/
 
 # A small seeded fault-injection campaign with the invariants enforced:
 # zero SilentTaintLoss on the un-faulted control arm, every attack-arm

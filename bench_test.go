@@ -50,7 +50,7 @@ func BenchmarkTable1Propagation(b *testing.B) {
 func BenchmarkFig2SyntheticAttacks(b *testing.B) {
 	scenarios := []struct {
 		name string
-		run  func(taint.Policy) (attack.Outcome, error)
+		run  func(attack.Options) (attack.Outcome, error)
 	}{
 		{"Exp1Stack", attack.Exp1StackSmash},
 		{"Exp2Heap", attack.Exp2HeapCorruption},
@@ -60,7 +60,7 @@ func BenchmarkFig2SyntheticAttacks(b *testing.B) {
 		b.Run(sc.name, func(b *testing.B) {
 			var lastInstrs uint64
 			for i := 0; i < b.N; i++ {
-				out, err := sc.run(taint.PolicyPointerTaintedness)
+				out, err := sc.run(attack.Options{Policy: taint.PolicyPointerTaintedness})
 				if err != nil || !out.Detected {
 					b.Fatalf("detection failed: %v %v", out, err)
 				}

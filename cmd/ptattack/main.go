@@ -14,8 +14,8 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"sort"
 	"strings"
 
 	"repro/internal/attack"
@@ -23,32 +23,14 @@ import (
 	"repro/internal/taint"
 )
 
-var scenarios = map[string]func(taint.Policy) (attack.Outcome, error){
-	"exp1":                  attack.Exp1StackSmash,
-	"exp2":                  attack.Exp2HeapCorruption,
-	"exp3":                  attack.Exp3FormatString,
-	"wuftpd-noncontrol":     attack.WuFTPDNonControl,
-	"wuftpd-control":        attack.WuFTPDControl,
-	"nullhttpd-noncontrol":  attack.NullHTTPDNonControl,
-	"nullhttpd-control":     attack.NullHTTPDControl,
-	"ghttpd-noncontrol":     attack.GHTTPDNonControl,
-	"ghttpd-control":        attack.GHTTPDControl,
-	"traceroute":            attack.TracerouteDoubleFree,
-	"fn-intoverflow":        attack.FNIntegerOverflowAttack,
-	"fn-authflag":           attack.FNAuthFlagAttack,
-	"fn-infoleak":           attack.FNInfoLeakAttack,
-	"fn-authflag-annotated": attack.AnnotatedAuthFlagAttack,
-	"env-overflow":          attack.EnvOverflowAttack,
-}
-
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "ptattack:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) error {
+func run(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("ptattack", flag.ContinueOnError)
 	policyName := fs.String("policy", "pointer", "detection policy: pointer, control, off")
 	prov := fs.Bool("prov", false, "record taint provenance; detections print their origin chains")
@@ -58,49 +40,38 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	// Scenario Prepare functions boot internally; the global is how the
-	// shared containment flags reach those machines.
-	attack.ForceContainment = &ct
-	defer func() { attack.ForceContainment = nil }()
 	policy, ok := taint.ParsePolicy(*policyName)
 	if !ok {
 		return fmt.Errorf("unknown policy %q", *policyName)
 	}
-	if *prov {
-		// Scenario Prepare functions boot internally; the globals are how
-		// boot-time toggles reach those machines.
-		attack.ForceProvenance = true
-		defer func() { attack.ForceProvenance = false }()
-	}
+	opts := attack.Options{Policy: policy, Budget: ct.Budget, MemLimit: ct.MemLimit, Provenance: *prov}
 	if *tracePath != "" {
 		f, err := os.Create(*tracePath)
 		if err != nil {
 			return err
 		}
 		defer f.Close()
-		attack.ForceEventWriter = f
-		defer func() { attack.ForceEventWriter = nil }()
+		opts.Events = f
 	}
 
 	names := fs.Args()
 	if len(names) == 0 {
-		for n := range scenarios {
-			names = append(names, n)
+		for _, d := range attack.Drivers() {
+			names = append(names, d.Name)
 		}
-		sort.Strings(names)
 	}
 	for _, name := range names {
-		sc, ok := scenarios[name]
+		d, ok := attack.DriverByName(name)
 		if !ok {
 			return fmt.Errorf("unknown scenario %q", name)
 		}
-		out, err := sc(policy)
+		out, err := d.Run(opts)
 		if err != nil {
 			return fmt.Errorf("%s: %w", name, err)
 		}
-		fmt.Printf("%-22s [%s]  %v\n", name, policy, out)
+		fmt.Fprintf(w, "%-22s [%s]  %v\n", name, policy, out)
 		if out.Alert != nil && out.Alert.Provenance != nil {
-			fmt.Printf("  provenance: %s\n", indent(out.Alert.Provenance.String(), "  "))
+			fmt.Fprintf(w, "  provenance: %s\n", indent(out.Alert.Provenance.String(), "  "))
 		}
 	}
 	return nil

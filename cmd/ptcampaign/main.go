@@ -99,7 +99,6 @@ func run(args []string, w *os.File) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	attack.ForceReference = !*fast
 
 	sc, ok := attack.ScenarioByName(*name)
 	if !ok {
@@ -110,7 +109,8 @@ func run(args []string, w *os.File) error {
 		return fmt.Errorf("unknown scenario %q (have: %s)", *name, strings.Join(names, " "))
 	}
 
-	origin, err := sc.Prepare(taint.PolicyPointerTaintedness)
+	opts := attack.Options{Policy: taint.PolicyPointerTaintedness, Reference: !*fast}
+	origin, err := sc.Boot(opts)
 	if err != nil {
 		return fmt.Errorf("prepare %s: %w", sc.Name, err)
 	}
@@ -180,7 +180,7 @@ func run(args []string, w *os.File) error {
 	// machine and end-to-end through the session.
 	forkReady := timePer(*n, func() error { snap.Fork(); return nil })
 	bootReady := timePer(minInt(*n, 8), func() error {
-		_, err := sc.Prepare(taint.PolicyPointerTaintedness)
+		_, err := sc.Boot(opts)
 		return err
 	})
 	forkFull := timePer(*n, func() error {
@@ -188,7 +188,7 @@ func run(args []string, w *os.File) error {
 		return err
 	})
 	bootFull := timePer(minInt(*n, 8), func() error {
-		m, err := sc.Prepare(taint.PolicyPointerTaintedness)
+		m, err := sc.Boot(opts)
 		if err != nil {
 			return err
 		}

@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	ptexperiments [-scale N] [-fast=false] [-parallel N] [id ...]
+//	ptexperiments [-scale N] [-parallel N] [id ...]
 //
 // IDs: fig1 fig2 fig3 table1 table2 matrix table3 table4 overhead
 // ablation profile. With no IDs, everything runs in paper order
@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"os"
 
-	"repro/internal/attack"
 	"repro/internal/experiments"
 )
 
@@ -29,14 +28,10 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("ptexperiments", flag.ContinueOnError)
 	scale := fs.Int("scale", 1, "input scale for the SPEC-analogue workloads")
-	fast := fs.Bool("fast", true, "use the predecoded basic-block fast path")
 	parallel := fs.Int("parallel", 1, "worker goroutines for independent experiment runs")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	// ForceReference is a package-level toggle: set it once, before any
-	// machine boots or worker fans out, never during a parallel run.
-	attack.ForceReference = !*fast
 	if fs.NArg() == 0 {
 		// Failed experiments drop out of reports but never hide the rest:
 		// print what succeeded, then report every failure.

@@ -33,7 +33,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/attack"
 	"repro/internal/campaign"
 	"repro/internal/core"
 	"repro/internal/fault"
@@ -64,8 +63,6 @@ func run(args []string, w io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	attack.ForceContainment = &ct
-	defer func() { attack.ForceContainment = nil }()
 
 	// SIGINT/SIGTERM drain: stop handing out new runs, finish in-flight
 	// forks, and emit the partial report with its interrupted marker
@@ -83,15 +80,13 @@ func run(args []string, w io.Writer) error {
 	}()
 
 	cfg := fault.Config{
-		Seed:       *seed,
-		Runs:       *n,
-		Workers:    *parallel,
-		Reference:  !*fast,
-		Provenance: *prov,
-		Deadline:   ct.Deadline,
-		Retries:    ct.Retries,
-		Backoff:    ct.Backoff,
-		Stop:       stop,
+		Seed:        *seed,
+		Runs:        *n,
+		Workers:     *parallel,
+		Reference:   !*fast,
+		Provenance:  *prov,
+		Containment: ct,
+		Stop:        stop,
 	}
 	if *targetList != "" {
 		cfg.Targets = strings.Split(*targetList, ",")

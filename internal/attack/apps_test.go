@@ -12,7 +12,7 @@ import (
 // format string targeting the uid word is detected at the %n store in
 // vfprintf with the uid address in the dereferenced register.
 func TestWuFTPDNonControl(t *testing.T) {
-	out, err := WuFTPDNonControl(taint.PolicyPointerTaintedness)
+	out, err := WuFTPDNonControl(Options{Policy: taint.PolicyPointerTaintedness})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +28,7 @@ func TestWuFTPDNonControl(t *testing.T) {
 
 	// The baseline misses it entirely; the full escalation lands:
 	// uid corrupted, backdoor /etc/passwd uploaded.
-	out, err = WuFTPDNonControl(taint.PolicyControlDataOnly)
+	out, err = WuFTPDNonControl(Options{Policy: taint.PolicyControlDataOnly})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func TestWuFTPDNonControl(t *testing.T) {
 
 func TestWuFTPDControl(t *testing.T) {
 	for _, policy := range []taint.Policy{taint.PolicyPointerTaintedness, taint.PolicyControlDataOnly} {
-		out, err := WuFTPDControl(policy)
+		out, err := WuFTPDControl(Options{Policy: policy})
 		if err != nil {
 			t.Fatalf("%v: %v", policy, err)
 		}
@@ -53,7 +53,7 @@ func TestWuFTPDControl(t *testing.T) {
 			t.Errorf("%v: %v", policy, out)
 		}
 	}
-	out, err := WuFTPDControl(taint.PolicyOff)
+	out, err := WuFTPDControl(Options{Policy: taint.PolicyOff})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestWuFTPDControl(t *testing.T) {
 }
 
 func TestNullHTTPDNonControl(t *testing.T) {
-	out, err := NullHTTPDNonControl(taint.PolicyPointerTaintedness)
+	out, err := NullHTTPDNonControl(Options{Policy: taint.PolicyPointerTaintedness})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestNullHTTPDNonControl(t *testing.T) {
 		t.Errorf("alert not in the allocator: %q", out.Alert.Symbol)
 	}
 
-	out, err = NullHTTPDNonControl(taint.PolicyControlDataOnly)
+	out, err = NullHTTPDNonControl(Options{Policy: taint.PolicyControlDataOnly})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestNullHTTPDNonControl(t *testing.T) {
 }
 
 func TestNullHTTPDControl(t *testing.T) {
-	out, err := NullHTTPDControl(taint.PolicyPointerTaintedness)
+	out, err := NullHTTPDControl(Options{Policy: taint.PolicyPointerTaintedness})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestNullHTTPDControl(t *testing.T) {
 	}
 
 	// The baseline lets the writes happen but catches the tainted return.
-	out, err = NullHTTPDControl(taint.PolicyControlDataOnly)
+	out, err = NullHTTPDControl(Options{Policy: taint.PolicyControlDataOnly})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestNullHTTPDControl(t *testing.T) {
 		t.Fatalf("baseline missed the tainted return: %v", out)
 	}
 
-	out, err = NullHTTPDControl(taint.PolicyOff)
+	out, err = NullHTTPDControl(Options{Policy: taint.PolicyOff})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestNullHTTPDControl(t *testing.T) {
 }
 
 func TestGHTTPDNonControl(t *testing.T) {
-	out, err := GHTTPDNonControl(taint.PolicyPointerTaintedness)
+	out, err := GHTTPDNonControl(Options{Policy: taint.PolicyPointerTaintedness})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestGHTTPDNonControl(t *testing.T) {
 		t.Errorf("instr = %v, want lb", out.Alert.Instr.Op)
 	}
 
-	out, err = GHTTPDNonControl(taint.PolicyControlDataOnly)
+	out, err = GHTTPDNonControl(Options{Policy: taint.PolicyControlDataOnly})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,21 +152,21 @@ func TestGHTTPDControl(t *testing.T) {
 	// pointer, so pointer taintedness fires at the first tainted
 	// dereference (a load through the clobbered url) — earlier than the
 	// jump. The control-data baseline fires at the tainted JR.
-	out, err := GHTTPDControl(taint.PolicyPointerTaintedness)
+	out, err := GHTTPDControl(Options{Policy: taint.PolicyPointerTaintedness})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !out.Detected {
 		t.Fatalf("pointer taintedness missed the smash: %v", out)
 	}
-	out, err = GHTTPDControl(taint.PolicyControlDataOnly)
+	out, err = GHTTPDControl(Options{Policy: taint.PolicyControlDataOnly})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !out.Detected || out.Alert.Kind != taint.AlertJumpTarget {
 		t.Errorf("baseline: %v", out)
 	}
-	out, err = GHTTPDControl(taint.PolicyOff)
+	out, err = GHTTPDControl(Options{Policy: taint.PolicyOff})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +176,7 @@ func TestGHTTPDControl(t *testing.T) {
 }
 
 func TestTracerouteDoubleFree(t *testing.T) {
-	out, err := TracerouteDoubleFree(taint.PolicyPointerTaintedness)
+	out, err := TracerouteDoubleFree(Options{Policy: taint.PolicyPointerTaintedness})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +192,7 @@ func TestTracerouteDoubleFree(t *testing.T) {
 		t.Errorf("alert not in the allocator: %q", out.Alert.Symbol)
 	}
 
-	out, err = TracerouteDoubleFree(taint.PolicyControlDataOnly)
+	out, err = TracerouteDoubleFree(Options{Policy: taint.PolicyControlDataOnly})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +208,7 @@ func TestTracerouteDoubleFree(t *testing.T) {
 // under the paper's policy: no false positives.
 func TestBenignTrafficNoAlerts(t *testing.T) {
 	// FTP: full login + commands.
-	m, conn, err := ftpLogin(taint.PolicyPointerTaintedness)
+	m, conn, err := ftpLogin(Options{Policy: taint.PolicyPointerTaintedness})
 	if err != nil {
 		t.Fatalf("ftp benign: %v", err)
 	}

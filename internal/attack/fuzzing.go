@@ -11,7 +11,7 @@ package attack
 
 // InputTarget is one fuzzable input surface.
 type InputTarget struct {
-	// Scenario supplies the name, the snapshot-point Prepare, and the
+	// Scenario supplies the name, the snapshot-point Boot, and the
 	// scripted attack Session whose alert fingerprint the fuzzer tries to
 	// rediscover from benign seeds.
 	Scenario Scenario
@@ -98,7 +98,7 @@ func InputTargetByName(name string) (InputTarget, bool) {
 // input: reads past it return EOF, so inputs need no terminator.
 func playStdin(m *Machine, input []byte) (Outcome, error) {
 	m.Kernel.SetStdin(input)
-	return classify(m.Run()), nil
+	return Classify(m.Run()), nil
 }
 
 // playFTPCommand authenticates the attacker's session against the forked
@@ -111,5 +111,5 @@ func playFTPCommand(m *Machine, input []byte) (Outcome, error) {
 		return Outcome{}, err
 	}
 	_, runErr := conn.cmd(string(input))
-	return classify(runErr), nil
+	return Classify(runErr), nil
 }

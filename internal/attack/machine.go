@@ -33,32 +33,6 @@ const DefaultBudget = core.DefaultBudget
 // guest cannot exhaust the host). Shared via core.DefaultContainment.
 const DefaultMemLimit = core.DefaultMemLimit
 
-// ForceContainment, when non-nil, replaces the default budget and memory
-// limit for every machine booted with zero Options values — how a CLI's
-// -budget/-mem-limit flags reach scenario Prepare functions that boot
-// internally (the ForceReference pattern; set before booting, never while
-// a campaign boots concurrently).
-var ForceContainment *core.Containment
-
-// ForceReference disables the predecoded basic-block fast path for every
-// machine booted while it is set — the ptexperiments -fast=false escape
-// hatch and the toggle the differential harness flips to cross-check the
-// two interpreters.
-var ForceReference bool
-
-// ForceProvenance enables taint-provenance tracking (per-word origin
-// labels and alert chain reconstruction) on every machine booted while it
-// is set — the toggle ptattack/ptexperiments/pttrace flip so scenario
-// Prepare functions, which boot internally, inherit it.
-var ForceProvenance bool
-
-// ForceEventWriter, when non-nil, streams every structured trace event of
-// every machine booted while it is set to the writer as JSONL — the
-// ptattack -trace hook. Single-run debugging only: subscribers run on the
-// emitting goroutine unsynchronized, so it must never be set while a
-// parallel campaign boots machines.
-var ForceEventWriter io.Writer
-
 // Machine is one booted victim instance.
 type Machine struct {
 	Image  *asm.Image
@@ -71,7 +45,9 @@ type Machine struct {
 	reference bool
 }
 
-// Options configures a victim boot.
+// Options configures a victim boot. Attack drivers and Scenario.Boot take
+// one too: they set the fields their attack needs (stdin, argv, a tighter
+// budget) and keep the caller's values for the rest.
 type Options struct {
 	Policy taint.Policy
 	Prop   taint.Propagator
@@ -97,6 +73,11 @@ type Options struct {
 	// SecurityAlert carries the chain back to the exact syscall input.
 	// Requires flat memory (incompatible with WithCache).
 	Provenance bool
+	// Events, when non-nil, receives every structured trace event of the
+	// machine as JSONL while it runs. Subscribers run on the emitting
+	// goroutine unsynchronized, so one writer must not be shared by
+	// machines that run concurrently.
+	Events io.Writer
 }
 
 // Boot compiles and loads a corpus program under the given options.
@@ -118,22 +99,13 @@ func BootImage(name string, im *asm.Image, opts Options) (machine *Machine, err 
 			machine, err = nil, fmt.Errorf("boot %s: %v", name, r)
 		}
 	}()
-	defBudget, defMem := uint64(DefaultBudget), DefaultMemLimit
-	if ForceContainment != nil {
-		if ForceContainment.Budget != 0 {
-			defBudget = ForceContainment.Budget
-		}
-		if ForceContainment.MemLimit != 0 {
-			defMem = ForceContainment.MemLimit
-		}
-	}
 	k := kernel.New()
 	m := mem.New()
 	switch {
 	case opts.MemLimit > 0:
 		m.SetResidentLimit(opts.MemLimit)
-	case opts.MemLimit == 0 && defMem > 0:
-		m.SetResidentLimit(defMem)
+	case opts.MemLimit == 0:
+		m.SetResidentLimit(DefaultMemLimit)
 	}
 	var bus cpu.Bus = m
 	var hier *cache.Hierarchy
@@ -156,13 +128,13 @@ func BootImage(name string, im *asm.Image, opts Options) (machine *Machine, err 
 	k.SetBreak(im.DataEnd)
 	// Provenance must be live before SetArgs so the boot-time taint
 	// sources (argv/env bytes) get origin labels too.
-	if opts.Provenance || ForceProvenance {
+	if opts.Provenance {
 		if err := c.EnableProvenance(); err != nil {
 			return nil, fmt.Errorf("boot %s: %w", name, err)
 		}
 	}
-	if ForceEventWriter != nil {
-		c.EnableEvents(0).Stream(cpu.StreamJSONL(ForceEventWriter))
+	if opts.Events != nil {
+		c.EnableEvents(0).Stream(cpu.StreamJSONL(opts.Events))
 	}
 	k.SetArgs(c, append([]string{name}, opts.Args...), opts.Env)
 	if opts.Stdin != nil {
@@ -171,8 +143,7 @@ func BootImage(name string, im *asm.Image, opts Options) (machine *Machine, err 
 	for path, data := range opts.Files {
 		k.FS.WriteFile(path, data)
 	}
-	reference := opts.Reference || ForceReference
-	if !reference && !DisableStatic {
+	if !opts.Reference {
 		// Install the static analyzer's provably-clean facts so the fast
 		// path can skip runtime taint checks the analysis discharged.
 		// The reference interpreter never consumes facts — it remains the
@@ -183,12 +154,12 @@ func BootImage(name string, im *asm.Image, opts Options) (machine *Machine, err 
 	}
 	budget := opts.Budget
 	if budget == 0 {
-		budget = defBudget
+		budget = DefaultBudget
 	}
 	return &Machine{
 		Image: im, Kernel: k, CPU: c, Mem: m, Caches: hier,
 		budget:    budget,
-		reference: reference,
+		reference: opts.Reference,
 	}, nil
 }
 
@@ -332,9 +303,6 @@ func Classify(err error) Outcome {
 	}
 	return out
 }
-
-// classify is the package-internal spelling kept for the scenario code.
-func classify(err error) Outcome { return Classify(err) }
 
 // String renders the outcome for experiment tables.
 func (o Outcome) String() string {

@@ -8,16 +8,6 @@ import (
 	"repro/internal/taint"
 )
 
-// forceProv runs fn with ForceProvenance (and optionally ForceReference)
-// set, restoring both after.
-func forceProv(t *testing.T, reference bool, fn func()) {
-	t.Helper()
-	savedP, savedR := ForceProvenance, ForceReference
-	ForceProvenance, ForceReference = true, reference
-	defer func() { ForceProvenance, ForceReference = savedP, savedR }()
-	fn()
-}
-
 // detectionScenarios lists every scenario that must detect under the
 // pointer-taintedness policy — the paper's synthetic experiments, the
 // four real-application attacks (wu-ftpd %n, null-httpd dlmalloc unlink,
@@ -25,7 +15,7 @@ func forceProv(t *testing.T, reference bool, fn func()) {
 // variants, and the boot-time env overflow.
 var detectionScenarios = []struct {
 	name string
-	run  func(taint.Policy) (Outcome, error)
+	run  func(Options) (Outcome, error)
 	// src is the origin channel the chain must terminate at: "read" or
 	// "recv" for syscall inputs (fd >= 0), "env" for the boot-time source.
 	src string
@@ -48,46 +38,44 @@ var detectionScenarios = []struct {
 // origins name concrete input bytes — the source syscall, the guest fd
 // (for read/recv), the stream offset, and a nonzero byte count.
 func TestProvenanceChainsTerminateAtInputs(t *testing.T) {
-	forceProv(t, false, func() {
-		for _, sc := range detectionScenarios {
-			out, err := sc.run(taint.PolicyPointerTaintedness)
-			if err != nil {
-				t.Errorf("%s: %v", sc.name, err)
-				continue
+	for _, sc := range detectionScenarios {
+		out, err := sc.run(Options{Policy: taint.PolicyPointerTaintedness, Provenance: true})
+		if err != nil {
+			t.Errorf("%s: %v", sc.name, err)
+			continue
+		}
+		if !out.Detected || out.Alert == nil {
+			t.Errorf("%s: not detected: %v", sc.name, out)
+			continue
+		}
+		p := out.Alert.Provenance
+		if p == nil {
+			t.Errorf("%s: alert has no provenance chain", sc.name)
+			continue
+		}
+		if len(p.Origins) == 0 {
+			t.Errorf("%s: chain has no origins:\n%s", sc.name, p)
+			continue
+		}
+		if p.BirthPC == 0 {
+			t.Errorf("%s: chain has no birth pc", sc.name)
+		}
+		sawSrc := false
+		for _, o := range p.Origins {
+			if o.Syscall == "" || o.Len == 0 {
+				t.Errorf("%s: origin missing source or length: %+v", sc.name, o)
 			}
-			if !out.Detected || out.Alert == nil {
-				t.Errorf("%s: not detected: %v", sc.name, out)
-				continue
-			}
-			p := out.Alert.Provenance
-			if p == nil {
-				t.Errorf("%s: alert has no provenance chain", sc.name)
-				continue
-			}
-			if len(p.Origins) == 0 {
-				t.Errorf("%s: chain has no origins:\n%s", sc.name, p)
-				continue
-			}
-			if p.BirthPC == 0 {
-				t.Errorf("%s: chain has no birth pc", sc.name)
-			}
-			sawSrc := false
-			for _, o := range p.Origins {
-				if o.Syscall == "" || o.Len == 0 {
-					t.Errorf("%s: origin missing source or length: %+v", sc.name, o)
+			if o.Syscall == sc.src {
+				sawSrc = true
+				if (sc.src == "read" || sc.src == "recv") && o.FD < 0 {
+					t.Errorf("%s: %s origin without a descriptor: %+v", sc.name, sc.src, o)
 				}
-				if o.Syscall == sc.src {
-					sawSrc = true
-					if (sc.src == "read" || sc.src == "recv") && o.FD < 0 {
-						t.Errorf("%s: %s origin without a descriptor: %+v", sc.name, sc.src, o)
-					}
-				}
-			}
-			if !sawSrc {
-				t.Errorf("%s: no %s origin in chain:\n%s", sc.name, sc.src, p)
 			}
 		}
-	})
+		if !sawSrc {
+			t.Errorf("%s: no %s origin in chain:\n%s", sc.name, sc.src, p)
+		}
+	}
 }
 
 // TestProvenanceChainsEngineIdentical: the reference interpreter and the
@@ -97,18 +85,16 @@ func TestProvenanceChainsTerminateAtInputs(t *testing.T) {
 func TestProvenanceChainsEngineIdentical(t *testing.T) {
 	chains := func(reference bool) map[string]string {
 		out := make(map[string]string)
-		forceProv(t, reference, func() {
-			for _, sc := range detectionScenarios {
-				o, err := sc.run(taint.PolicyPointerTaintedness)
-				if err != nil {
-					t.Fatalf("%s (reference=%v): %v", sc.name, reference, err)
-				}
-				if o.Alert == nil || o.Alert.Provenance == nil {
-					t.Fatalf("%s (reference=%v): no chain", sc.name, reference)
-				}
-				out[sc.name] = o.Alert.Provenance.String()
+		for _, sc := range detectionScenarios {
+			o, err := sc.run(Options{Policy: taint.PolicyPointerTaintedness, Provenance: true, Reference: reference})
+			if err != nil {
+				t.Fatalf("%s (reference=%v): %v", sc.name, reference, err)
 			}
-		})
+			if o.Alert == nil || o.Alert.Provenance == nil {
+				t.Fatalf("%s (reference=%v): no chain", sc.name, reference)
+			}
+			out[sc.name] = o.Alert.Provenance.String()
+		}
 		return out
 	}
 	fast := chains(false)
@@ -125,40 +111,38 @@ func TestProvenanceChainsEngineIdentical(t *testing.T) {
 // label table, register label shadow, and memory label shadow all travel
 // through Snapshot/Fork intact.
 func TestProvenanceSurvivesFork(t *testing.T) {
-	forceProv(t, false, func() {
-		for _, sc := range Scenarios() {
-			m, err := sc.Prepare(taint.PolicyPointerTaintedness)
+	for _, sc := range Scenarios() {
+		m, err := sc.Boot(Options{Policy: taint.PolicyPointerTaintedness, Provenance: true})
+		if err != nil {
+			t.Fatalf("prepare %s: %v", sc.Name, err)
+		}
+		if !m.CPU.ProvEnabled() {
+			t.Fatalf("%s: Options.Provenance did not reach the scenario boot", sc.Name)
+		}
+		snap, err := m.Snapshot()
+		if err != nil {
+			t.Fatalf("snapshot %s: %v", sc.Name, err)
+		}
+		var chains []string
+		for i := 0; i < 3; i++ {
+			out, err := sc.Session(snap.Fork())
 			if err != nil {
-				t.Fatalf("prepare %s: %v", sc.Name, err)
+				t.Fatalf("%s fork %d: %v", sc.Name, i, err)
 			}
-			if !m.CPU.ProvEnabled() {
-				t.Fatalf("%s: ForceProvenance did not reach the scenario boot", sc.Name)
+			if out.Alert == nil || out.Alert.Provenance == nil {
+				t.Fatalf("%s fork %d: no chain: %v", sc.Name, i, out)
 			}
-			snap, err := m.Snapshot()
-			if err != nil {
-				t.Fatalf("snapshot %s: %v", sc.Name, err)
-			}
-			var chains []string
-			for i := 0; i < 3; i++ {
-				out, err := sc.Session(snap.Fork())
-				if err != nil {
-					t.Fatalf("%s fork %d: %v", sc.Name, i, err)
-				}
-				if out.Alert == nil || out.Alert.Provenance == nil {
-					t.Fatalf("%s fork %d: no chain: %v", sc.Name, i, out)
-				}
-				chains = append(chains, out.Alert.Provenance.String())
-			}
-			for i := 1; i < len(chains); i++ {
-				if chains[i] != chains[0] {
-					t.Errorf("%s: fork %d chain diverged:\n%s\nvs\n%s", sc.Name, i, chains[i], chains[0])
-				}
-			}
-			if !strings.Contains(chains[0], "<- ") {
-				t.Errorf("%s: chain lacks origins:\n%s", sc.Name, chains[0])
+			chains = append(chains, out.Alert.Provenance.String())
+		}
+		for i := 1; i < len(chains); i++ {
+			if chains[i] != chains[0] {
+				t.Errorf("%s: fork %d chain diverged:\n%s\nvs\n%s", sc.Name, i, chains[i], chains[0])
 			}
 		}
-	})
+		if !strings.Contains(chains[0], "<- ") {
+			t.Errorf("%s: chain lacks origins:\n%s", sc.Name, chains[0])
+		}
+	}
 }
 
 // TestProvenancePerturbationFree: enabling provenance must change nothing
@@ -171,10 +155,7 @@ func TestProvenancePerturbationFree(t *testing.T) {
 			var out Outcome
 			var stats string
 			var fp uint64
-			saved := ForceProvenance
-			ForceProvenance = provOn
-			defer func() { ForceProvenance = saved }()
-			m, err := sc.Prepare(taint.PolicyPointerTaintedness)
+			m, err := sc.Boot(Options{Policy: taint.PolicyPointerTaintedness, Provenance: provOn})
 			if err != nil {
 				t.Fatalf("prepare %s: %v", sc.Name, err)
 			}

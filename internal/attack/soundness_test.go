@@ -73,7 +73,7 @@ func TestSoundnessAndLintOnExploitedPaths(t *testing.T) {
 	cases := []struct {
 		name string
 		prog string
-		run  func(taint.Policy) (Outcome, error)
+		run  func(Options) (Outcome, error)
 	}{
 		{"wuftpd-format-percent-n", "wuftpd", WuFTPDNonControl},
 		{"wuftpd-control", "wuftpd", WuFTPDControl},
@@ -86,7 +86,7 @@ func TestSoundnessAndLintOnExploitedPaths(t *testing.T) {
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			out, err := tc.run(taint.PolicyPointerTaintedness)
+			out, err := tc.run(Options{Policy: taint.PolicyPointerTaintedness})
 			if err != nil {
 				t.Fatalf("attack: %v", err)
 			}

@@ -9,11 +9,6 @@ import (
 	"repro/internal/taint"
 )
 
-// DisableStatic turns off static-fact installation at boot: every
-// machine then runs with purely dynamic taint checks. The benchmark
-// harness flips it to measure the static fast path's contribution.
-var DisableStatic bool
-
 // staticKey identifies one analysis run. Images are cached per program
 // (progs.Build), so pointer identity is the program identity; the
 // propagator matters because its ablation flags gate the untaint rules

@@ -23,19 +23,17 @@ func mustProg(name string) (progs.Program, error) {
 // Exp1StackSmash is the paper's Section 5.1.1 stack overflow detection:
 // 24 'a' characters into a 10-byte buffer taint the saved return address;
 // the JR detector fires with the value 0x61616161.
-func Exp1StackSmash(policy taint.Policy) (Outcome, error) {
+func Exp1StackSmash(opts Options) (Outcome, error) {
 	p, err := mustProg("exp1")
 	if err != nil {
 		return Outcome{}, err
 	}
-	m, err := Boot(p, Options{
-		Policy: policy,
-		Stdin:  []byte(strings.Repeat("a", 24) + "\n"),
-	})
+	opts.Stdin = []byte(strings.Repeat("a", 24) + "\n")
+	m, err := Boot(p, opts)
 	if err != nil {
 		return Outcome{}, err
 	}
-	out := classify(m.Run())
+	out := Classify(m.Run())
 	if out.Crashed {
 		// Without detection the tainted return address is consumed: the
 		// control flow leaves the program — the hijack landed.
@@ -53,16 +51,17 @@ const exp2Payload = "aaaaaaaaaaaa" + "bbbb" + "dddd" + "hhhh"
 
 // Exp2HeapCorruption is the Fig. 2 heap attack: free()'s unlink of the
 // corrupted chunk dereferences the attacker's fd word.
-func Exp2HeapCorruption(policy taint.Policy) (Outcome, error) {
+func Exp2HeapCorruption(opts Options) (Outcome, error) {
 	p, err := mustProg("exp2")
 	if err != nil {
 		return Outcome{}, err
 	}
-	m, err := Boot(p, Options{Policy: policy, Stdin: []byte(exp2Payload + "\n")})
+	opts.Stdin = []byte(exp2Payload + "\n")
+	m, err := Boot(p, opts)
 	if err != nil {
 		return Outcome{}, err
 	}
-	out := classify(m.Run())
+	out := Classify(m.Run())
 	if !out.Detected && !out.Crashed {
 		// The unlink write-primitive fired: the word at 0x6464646c
 		// ('dddd'+8) was written through the attacker's fd (first with bk,
@@ -80,12 +79,12 @@ func Exp2HeapCorruption(policy taint.Policy) (Outcome, error) {
 // The number of %x directives needed to walk ap onto the marker depends on
 // the victim's frame layout; CalibrateExp3 probes for it the way a real
 // attacker probes a local copy of the binary.
-func Exp3FormatString(policy taint.Policy) (Outcome, error) {
+func Exp3FormatString(opts Options) (Outcome, error) {
 	payload, err := CalibrateExp3()
 	if err != nil {
 		return Outcome{}, err
 	}
-	return runExp3(policy, payload)
+	return runExp3(opts, payload)
 }
 
 // CalibrateExp3 finds the %x walk distance that lands %n on the "abcd"
@@ -97,7 +96,7 @@ func CalibrateExp3() (string, error) {
 func calibrateExp3() (string, error) {
 	for k := 0; k <= 12; k++ {
 		payload := "abcd" + strings.Repeat("%x", k) + "%n"
-		out, err := runExp3(taint.PolicyPointerTaintedness, payload)
+		out, err := runExp3(Options{Policy: taint.PolicyPointerTaintedness}, payload)
 		if err != nil {
 			return "", err
 		}
@@ -108,12 +107,13 @@ func calibrateExp3() (string, error) {
 	return "", fmt.Errorf("exp3 calibration failed: %%n never reached the marker")
 }
 
-func runExp3(policy taint.Policy, payload string) (Outcome, error) {
+func runExp3(opts Options, payload string) (Outcome, error) {
 	p, err := mustProg("exp3")
 	if err != nil {
 		return Outcome{}, err
 	}
-	m, err := Boot(p, Options{Policy: policy, Budget: 20_000_000})
+	opts.Budget = 20_000_000
+	m, err := Boot(p, opts)
 	if err != nil {
 		return Outcome{}, err
 	}
@@ -131,7 +131,7 @@ func runExp3(policy taint.Policy, payload string) (Outcome, error) {
 		ep.Close()
 		runErr = m.Run()
 	}
-	out := classify(runErr)
+	out := Classify(runErr)
 	if out.Crashed {
 		out.Compromised = true
 		out.Evidence = "format-string write reached 0x64636261: " + out.Evidence
@@ -142,16 +142,17 @@ func runExp3(policy taint.Policy, payload string) (Outcome, error) {
 // FNIntegerOverflowAttack is Table 4(A): input 4294967295 wraps to -1 and
 // passes the flawed check; array[-1] silently overwrites the adjacent
 // secret under every policy.
-func FNIntegerOverflowAttack(policy taint.Policy) (Outcome, error) {
+func FNIntegerOverflowAttack(opts Options) (Outcome, error) {
 	p, err := mustProg("fn-intoverflow")
 	if err != nil {
 		return Outcome{}, err
 	}
-	m, err := Boot(p, Options{Policy: policy, Stdin: []byte("4294967295\n")})
+	opts.Stdin = []byte("4294967295\n")
+	m, err := Boot(p, opts)
 	if err != nil {
 		return Outcome{}, err
 	}
-	out := classify(m.Run())
+	out := Classify(m.Run())
 	if out.Detected || out.Crashed {
 		return out, nil
 	}
@@ -165,20 +166,18 @@ func FNIntegerOverflowAttack(policy taint.Policy) (Outcome, error) {
 // FNAuthFlagAttack is Table 4(B): a wrong password followed by an overflow
 // that flips the auth flag. No pointer is tainted; every policy grants
 // access.
-func FNAuthFlagAttack(policy taint.Policy) (Outcome, error) {
+func FNAuthFlagAttack(opts Options) (Outcome, error) {
 	p, err := mustProg("fn-authflag")
 	if err != nil {
 		return Outcome{}, err
 	}
 	for fill := 36; fill <= 72; fill += 4 {
-		m, err := Boot(p, Options{
-			Policy: policy,
-			Stdin:  []byte("wrongpass\n" + strings.Repeat("a", fill) + "\n"),
-		})
+		opts.Stdin = []byte("wrongpass\n" + strings.Repeat("a", fill) + "\n")
+		m, err := Boot(p, opts)
 		if err != nil {
 			return Outcome{}, err
 		}
-		out := classify(m.Run())
+		out := Classify(m.Run())
 		if out.Detected || out.Crashed {
 			return out, nil
 		}
@@ -193,20 +192,18 @@ func FNAuthFlagAttack(policy taint.Policy) (Outcome, error) {
 
 // FNInfoLeakAttack is Table 4(C): %x directives read the stack; the secret
 // key appears in the output with no pointer dereference to detect.
-func FNInfoLeakAttack(policy taint.Policy) (Outcome, error) {
+func FNInfoLeakAttack(opts Options) (Outcome, error) {
 	p, err := mustProg("fn-infoleak")
 	if err != nil {
 		return Outcome{}, err
 	}
 	for k := 1; k <= 40; k++ {
-		m, err := Boot(p, Options{
-			Policy: policy,
-			Stdin:  []byte(strings.Repeat("%x.", k) + "\n"),
-		})
+		opts.Stdin = []byte(strings.Repeat("%x.", k) + "\n")
+		m, err := Boot(p, opts)
 		if err != nil {
 			return Outcome{}, err
 		}
-		out := classify(m.Run())
+		out := Classify(m.Run())
 		if out.Detected || out.Crashed {
 			return out, nil
 		}
@@ -223,16 +220,14 @@ func FNInfoLeakAttack(policy taint.Policy) (Outcome, error) {
 // annotated victim (the paper's Section 5.3 extension): the overflow that
 // silently flipped the flag is now caught when tainted bytes reach the
 // annotated region.
-func AnnotatedAuthFlagAttack(policy taint.Policy) (Outcome, error) {
+func AnnotatedAuthFlagAttack(opts Options) (Outcome, error) {
 	p, err := mustProg("fn-authflag-annotated")
 	if err != nil {
 		return Outcome{}, err
 	}
 	for fill := 36; fill <= 72; fill += 4 {
-		m, err := Boot(p, Options{
-			Policy: policy,
-			Stdin:  []byte("wrongpass\n" + strings.Repeat("a", fill) + "\n"),
-		})
+		opts.Stdin = []byte("wrongpass\n" + strings.Repeat("a", fill) + "\n")
+		m, err := Boot(p, opts)
 		if err != nil {
 			return Outcome{}, err
 		}
@@ -244,7 +239,7 @@ func AnnotatedAuthFlagAttack(policy taint.Policy) (Outcome, error) {
 				Evidence: viol.Error(),
 			}, nil
 		}
-		out := classify(runErr)
+		out := Classify(runErr)
 		if out.Detected || out.Crashed {
 			return out, nil
 		}
@@ -261,7 +256,7 @@ func AnnotatedAuthFlagAttack(policy taint.Policy) (Outcome, error) {
 // variable, exercising the paper's environment taint source: env strings
 // are tainted at startup, so the clobbered return address trips the JR
 // detector.
-func EnvOverflowAttack(policy taint.Policy) (Outcome, error) {
+func EnvOverflowAttack(opts Options) (Outcome, error) {
 	p, err := mustProg("envutil")
 	if err != nil {
 		return Outcome{}, err
@@ -270,15 +265,13 @@ func EnvOverflowAttack(policy taint.Policy) (Outcome, error) {
 	// tainted jump target.
 	for fill := 16; fill <= 48; fill += 4 {
 		payload := strings.Repeat("e", fill) + wordBytes(0x65656564)
-		m, err := Boot(p, Options{
-			Policy: policy,
-			Env:    []string{"PATH=/bin", "TERM=" + payload},
-			Budget: 20_000_000,
-		})
+		opts.Env = []string{"PATH=/bin", "TERM=" + payload}
+		opts.Budget = 20_000_000
+		m, err := Boot(p, opts)
 		if err != nil {
 			return Outcome{}, err
 		}
-		out := classify(m.Run())
+		out := Classify(m.Run())
 		if out.Detected && out.Alert.Kind == taint.AlertJumpTarget && out.Alert.Value == 0x65656564 {
 			return out, nil
 		}

@@ -9,7 +9,7 @@ import (
 
 func TestExp1Detection(t *testing.T) {
 	// Paper §5.1.1: alert at the return (JR) with tainted 0x61616161.
-	out, err := Exp1StackSmash(taint.PolicyPointerTaintedness)
+	out, err := Exp1StackSmash(Options{Policy: taint.PolicyPointerTaintedness})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +27,7 @@ func TestExp1Detection(t *testing.T) {
 	}
 
 	// The control-data baseline also catches a tainted return address.
-	out, err = Exp1StackSmash(taint.PolicyControlDataOnly)
+	out, err = Exp1StackSmash(Options{Policy: taint.PolicyControlDataOnly})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +36,7 @@ func TestExp1Detection(t *testing.T) {
 	}
 
 	// With detection off the hijack lands.
-	out, err = Exp1StackSmash(taint.PolicyOff)
+	out, err = Exp1StackSmash(Options{Policy: taint.PolicyOff})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestExp1Detection(t *testing.T) {
 }
 
 func TestExp2Detection(t *testing.T) {
-	out, err := Exp2HeapCorruption(taint.PolicyPointerTaintedness)
+	out, err := Exp2HeapCorruption(Options{Policy: taint.PolicyPointerTaintedness})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestExp2Detection(t *testing.T) {
 	}
 
 	// The baseline sees no control data: the arbitrary write lands.
-	out, err = Exp2HeapCorruption(taint.PolicyControlDataOnly)
+	out, err = Exp2HeapCorruption(Options{Policy: taint.PolicyControlDataOnly})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestExp2Detection(t *testing.T) {
 }
 
 func TestExp3Detection(t *testing.T) {
-	out, err := Exp3FormatString(taint.PolicyPointerTaintedness)
+	out, err := Exp3FormatString(Options{Policy: taint.PolicyPointerTaintedness})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestExp3Detection(t *testing.T) {
 	}
 
 	// Baseline: the store is to data (no control transfer): not detected.
-	out, err = Exp3FormatString(taint.PolicyControlDataOnly)
+	out, err = Exp3FormatString(Options{Policy: taint.PolicyControlDataOnly})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestExp3Detection(t *testing.T) {
 func TestFalseNegativesEscapeEveryPolicy(t *testing.T) {
 	scenarios := []struct {
 		name string
-		run  func(taint.Policy) (Outcome, error)
+		run  func(Options) (Outcome, error)
 	}{
 		{"integer-overflow", FNIntegerOverflowAttack},
 		{"auth-flag", FNAuthFlagAttack},
@@ -120,7 +120,7 @@ func TestFalseNegativesEscapeEveryPolicy(t *testing.T) {
 	}
 	for _, sc := range scenarios {
 		for _, policy := range policies {
-			out, err := sc.run(policy)
+			out, err := sc.run(Options{Policy: policy})
 			if err != nil {
 				t.Fatalf("%s under %v: %v", sc.name, policy, err)
 			}
@@ -144,7 +144,7 @@ func TestAnnotationExtensionDefeatsAuthFlagFN(t *testing.T) {
 		taint.PolicyControlDataOnly,
 		taint.PolicyOff,
 	} {
-		out, err := AnnotatedAuthFlagAttack(policy)
+		out, err := AnnotatedAuthFlagAttack(Options{Policy: policy})
 		if err != nil {
 			t.Fatalf("%v: %v", policy, err)
 		}
@@ -179,7 +179,7 @@ func TestAnnotationExtensionDefeatsAuthFlagFN(t *testing.T) {
 // TestEnvOverflow covers the environment taint source: env strings are
 // tainted at startup, so the env-driven stack smash is detected at JR.
 func TestEnvOverflow(t *testing.T) {
-	out, err := EnvOverflowAttack(taint.PolicyPointerTaintedness)
+	out, err := EnvOverflowAttack(Options{Policy: taint.PolicyPointerTaintedness})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +216,7 @@ func TestDetectionThroughCacheHierarchy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := classify(m.Run())
+	out := Classify(m.Run())
 	if !out.Detected || out.Alert.Value != 0x61616161 {
 		t.Errorf("exp1 with caches: %v", out)
 	}
@@ -234,7 +234,7 @@ func TestDetectionThroughCacheHierarchy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out = classify(m2.Run())
+	out = Classify(m2.Run())
 	if !out.Detected || out.Alert.Value != 0x64646464 {
 		t.Errorf("exp2 with caches: %v", out)
 	}

@@ -14,14 +14,6 @@ type Hierarchy struct {
 	l2     *Cache
 }
 
-// DefaultL1 and DefaultL2 are the default geometries (modest early-2000s
-// sizes and latencies, matching the SimpleScalar-era machine the paper
-// models): an L1 miss pays the L2 access, an L2 miss pays main memory.
-var (
-	DefaultL1 = Config{Name: "L1", Size: 16 << 10, LineSize: 32, Ways: 4, MissPenalty: 6}
-	DefaultL2 = Config{Name: "L2", Size: 256 << 10, LineSize: 32, Ways: 8, MissPenalty: 40}
-)
-
 // NewHierarchy builds L1->L2->memory with the given geometries.
 func NewHierarchy(l1, l2 Config, memory Port) (*Hierarchy, error) {
 	second, err := New(l2, memory)
@@ -35,9 +27,15 @@ func NewHierarchy(l1, l2 Config, memory Port) (*Hierarchy, error) {
 	return &Hierarchy{Cache: first, l2: second}, nil
 }
 
-// NewDefaultHierarchy builds the default geometry over memory.
+// NewDefaultHierarchy builds the default geometry over memory: modest
+// early-2000s sizes and latencies, matching the SimpleScalar-era machine
+// the paper models. An L1 miss pays the L2 access, an L2 miss pays main
+// memory.
 func NewDefaultHierarchy(memory Port) (*Hierarchy, error) {
-	return NewHierarchy(DefaultL1, DefaultL2, memory)
+	return NewHierarchy(
+		Config{Name: "L1", Size: 16 << 10, LineSize: 32, Ways: 4, MissPenalty: 6},
+		Config{Name: "L2", Size: 256 << 10, LineSize: 32, Ways: 8, MissPenalty: 40},
+		memory)
 }
 
 // L1Stats returns the first-level counters.

@@ -26,6 +26,7 @@ import (
 	"repro/internal/attack"
 	"repro/internal/cpu"
 	"repro/internal/metrics"
+	"repro/internal/obs"
 )
 
 // DefaultWorkers returns the default fan-out width, GOMAXPROCS.
@@ -182,11 +183,8 @@ func backoffFor(opts GuardOpts, i, attempt int) time.Duration {
 	if d > max {
 		d = max
 	}
-	// splitmix64 over (Seed, i, attempt): scheduling-independent jitter.
-	z := uint64(opts.Seed) + (uint64(i)<<16|uint64(attempt)+1)*0x9E3779B97F4A7C15
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	z ^= z >> 31
+	// Scheduling-independent jitter from (Seed, i, attempt).
+	z := obs.SplitMix64(uint64(opts.Seed), uint64(i)<<16|uint64(attempt))
 	jitter := time.Duration(z % uint64(d/2+1))
 	return d + jitter
 }

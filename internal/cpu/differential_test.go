@@ -182,7 +182,7 @@ func TestDifferentialCorpus(t *testing.T) {
 // payloads), so together they push tainted data through every detector.
 var diffScenarios = []struct {
 	name string
-	run  func(taint.Policy) (attack.Outcome, error)
+	run  func(attack.Options) (attack.Outcome, error)
 }{
 	{"exp1-stack", attack.Exp1StackSmash},
 	{"exp2-heap", attack.Exp2HeapCorruption},
@@ -199,14 +199,6 @@ var diffScenarios = []struct {
 	{"ghttpd-noncontrol", attack.GHTTPDNonControl},
 	{"ghttpd-control", attack.GHTTPDControl},
 	{"traceroute-doublefree", attack.TracerouteDoubleFree},
-}
-
-// runScenario runs one attack driver in the given mode via the global
-// reference toggle (the drivers boot their own machines internally).
-func runScenario(fn func(taint.Policy) (attack.Outcome, error), policy taint.Policy, reference bool) (attack.Outcome, error) {
-	attack.ForceReference = reference
-	defer func() { attack.ForceReference = false }()
-	return fn(policy)
 }
 
 // compareOutcomes requires two attack outcomes to agree, including the
@@ -235,8 +227,7 @@ func compareOutcomes(t *testing.T, ref, fast attack.Outcome, refErr, fastErr err
 }
 
 // TestDifferentialScenarios replays every attack scenario under both
-// detection policies in both execution modes. Not parallel: the scenarios
-// are toggled through the package-global attack.ForceReference.
+// detection policies in both execution modes.
 func TestDifferentialScenarios(t *testing.T) {
 	if testing.Short() {
 		t.Skip("differential scenario sweep is slow")
@@ -253,8 +244,8 @@ func TestDifferentialScenarios(t *testing.T) {
 		for _, pol := range policies {
 			pol := pol
 			t.Run(sc.name+"/"+pol.name, func(t *testing.T) {
-				refOut, refErr := runScenario(sc.run, pol.policy, true)
-				fastOut, fastErr := runScenario(sc.run, pol.policy, false)
+				refOut, refErr := sc.run(attack.Options{Policy: pol.policy, Reference: true})
+				fastOut, fastErr := sc.run(attack.Options{Policy: pol.policy})
 				compareOutcomes(t, refOut, fastOut, refErr, fastErr)
 			})
 		}
@@ -267,10 +258,8 @@ func TestDifferentialTable2Transcript(t *testing.T) {
 	if testing.Short() {
 		t.Skip("transcript replay is slow")
 	}
-	attack.ForceReference = true
-	refLog, refOut, refErr := attack.WuFTPDTable2()
-	attack.ForceReference = false
-	fastLog, fastOut, fastErr := attack.WuFTPDTable2()
+	refLog, refOut, refErr := attack.WuFTPDTable2(attack.Options{Reference: true})
+	fastLog, fastOut, fastErr := attack.WuFTPDTable2(attack.Options{})
 	compareOutcomes(t, refOut, fastOut, refErr, fastErr)
 	if len(refLog) != len(fastLog) {
 		t.Fatalf("transcript length: fast %d, reference %d", len(fastLog), len(refLog))

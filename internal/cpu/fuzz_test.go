@@ -168,14 +168,11 @@ func FuzzStepEquivalence(f *testing.F) {
 // per-fork instruction budget generous enough for any mutated input.
 func prepareInputStreamSnapshot(f *testing.F, reference bool) (*attack.Snapshot, uint64) {
 	f.Helper()
-	savedRef, savedProv := attack.ForceReference, attack.ForceProvenance
-	attack.ForceReference, attack.ForceProvenance = reference, true
-	defer func() { attack.ForceReference, attack.ForceProvenance = savedRef, savedProv }()
 	sc, ok := attack.ScenarioByName("exp1-stack")
 	if !ok {
 		f.Fatal("exp1-stack scenario missing")
 	}
-	m, err := sc.Prepare(taint.PolicyPointerTaintedness)
+	m, err := sc.Boot(attack.Options{Policy: taint.PolicyPointerTaintedness, Reference: reference, Provenance: true})
 	if err != nil {
 		f.Fatalf("prepare: %v", err)
 	}

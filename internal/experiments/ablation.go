@@ -78,7 +78,7 @@ func Ablations() (AblationResult, error) {
 	// rule is dangerous in principle (equality tests would trust data);
 	// demonstrated on the heap attack, where the free-list nullness
 	// checks (beq against zero) now launder the corrupted links.
-	heap, err := attack.Exp2HeapCorruption(taint.PolicyPointerTaintedness)
+	heap, err := attack.Exp2HeapCorruption(attack.Options{Policy: taint.PolicyPointerTaintedness})
 	if err != nil {
 		return res, err
 	}
@@ -94,11 +94,11 @@ func Ablations() (AblationResult, error) {
 
 	// 4. The Section 5.3 annotation extension: the Table 4(B) false
 	// negative becomes a detection once the auth flag is annotated.
-	annotated, err := attack.AnnotatedAuthFlagAttack(taint.PolicyPointerTaintedness)
+	annotated, err := attack.AnnotatedAuthFlagAttack(attack.Options{Policy: taint.PolicyPointerTaintedness})
 	if err != nil {
 		return res, err
 	}
-	plain, err := attack.FNAuthFlagAttack(taint.PolicyPointerTaintedness)
+	plain, err := attack.FNAuthFlagAttack(attack.Options{Policy: taint.PolicyPointerTaintedness})
 	if err != nil {
 		return res, err
 	}

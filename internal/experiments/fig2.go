@@ -30,7 +30,7 @@ func Fig2() (Fig2Result, error) { return Fig2Workers(1) }
 // across workers goroutines; rows stay in paper order.
 func Fig2Workers(workers int) (Fig2Result, error) {
 	specs := []struct {
-		run       func(taint.Policy) (attack.Outcome, error)
+		run       func(attack.Options) (attack.Outcome, error)
 		program   string
 		attack    string
 		input     string
@@ -45,7 +45,7 @@ func Fig2Workers(workers int) (Fig2Result, error) {
 	}
 	var res Fig2Result
 	rows, err := campaign.ForEach(len(specs), workers, func(i int) (Fig2Row, error) {
-		out, err := specs[i].run(taint.PolicyPointerTaintedness)
+		out, err := specs[i].run(attack.Options{Policy: taint.PolicyPointerTaintedness})
 		if err != nil {
 			return Fig2Row{}, fmt.Errorf("%s: %w", specs[i].program, err)
 		}
@@ -95,15 +95,15 @@ type Fig3Row struct {
 // annotations the pipeline attaches to the alerts.
 func Fig3() (Fig3Result, error) {
 	var res Fig3Result
-	jr, err := attack.Exp1StackSmash(taint.PolicyPointerTaintedness)
+	jr, err := attack.Exp1StackSmash(attack.Options{Policy: taint.PolicyPointerTaintedness})
 	if err != nil {
 		return res, err
 	}
-	st, err := attack.Exp3FormatString(taint.PolicyPointerTaintedness)
+	st, err := attack.Exp3FormatString(attack.Options{Policy: taint.PolicyPointerTaintedness})
 	if err != nil {
 		return res, err
 	}
-	ld, err := attack.Exp2HeapCorruption(taint.PolicyPointerTaintedness)
+	ld, err := attack.Exp2HeapCorruption(attack.Options{Policy: taint.PolicyPointerTaintedness})
 	if err != nil {
 		return res, err
 	}

@@ -17,7 +17,7 @@ type Table2Result struct {
 
 // Table2 replays the attack session.
 func Table2() (Table2Result, error) {
-	transcript, out, err := attack.WuFTPDTable2()
+	transcript, out, err := attack.WuFTPDTable2(attack.Options{})
 	if err != nil {
 		return Table2Result{}, err
 	}
@@ -56,7 +56,7 @@ type MatrixResult struct {
 // matrixScenario pairs a scenario with its labels.
 type matrixScenario struct {
 	app, name, class string
-	run              func(taint.Policy) (attack.Outcome, error)
+	run              func(attack.Options) (attack.Outcome, error)
 }
 
 func matrixScenarios() []matrixScenario {
@@ -88,7 +88,7 @@ func MatrixWorkers(workers int) (MatrixResult, error) {
 		if i%2 == 1 {
 			policy, policyName = taint.PolicyControlDataOnly, "control-data-only"
 		}
-		out, err := sc.run(policy)
+		out, err := sc.run(attack.Options{Policy: policy})
 		if err != nil {
 			return out, fmt.Errorf("%s/%s under %s: %w", sc.app, sc.name, policyName, err)
 		}

@@ -115,13 +115,13 @@ func Table4() (Table4Result, error) {
 	var res Table4Result
 	for _, sc := range []struct {
 		name string
-		run  func(taint.Policy) (attack.Outcome, error)
+		run  func(attack.Options) (attack.Outcome, error)
 	}{
 		{"(A) integer overflow past flawed bounds check", attack.FNIntegerOverflowAttack},
 		{"(B) buffer overflow of adjacent auth flag", attack.FNAuthFlagAttack},
 		{"(C) format string %x information leak", attack.FNInfoLeakAttack},
 	} {
-		out, err := sc.run(taint.PolicyPointerTaintedness)
+		out, err := sc.run(attack.Options{Policy: taint.PolicyPointerTaintedness})
 		if err != nil {
 			return res, err
 		}

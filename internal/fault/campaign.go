@@ -6,10 +6,10 @@ import (
 	"math/rand"
 	"sort"
 	"strings"
-	"time"
 
 	"repro/internal/attack"
 	"repro/internal/campaign"
+	"repro/internal/core"
 	"repro/internal/cpu"
 	"repro/internal/metrics"
 	"repro/internal/obs"
@@ -72,17 +72,16 @@ var benignSpec = []string{"gzips", "parsers"}
 // control session once per target to calibrate SessionLen and record the
 // control outcome. filter (nil = all) selects targets by name.
 func PrepareTargets(cfg Config, filter func(name string) bool) ([]*Target, error) {
-	policy := cfg.Policy
-	if policy == 0 {
-		policy = taint.PolicyPointerTaintedness
+	opts := attack.Options{
+		Policy:     cfg.Policy,
+		Budget:     cfg.Containment.Budget,
+		MemLimit:   cfg.Containment.MemLimit,
+		Reference:  cfg.Reference,
+		Provenance: cfg.Provenance,
 	}
-	// ForceReference / ForceProvenance are consulted at boot time; scenario
-	// Prepare functions boot internally, so toggle them around the whole
-	// preparation.
-	savedRef, savedProv := attack.ForceReference, attack.ForceProvenance
-	attack.ForceReference = cfg.Reference
-	attack.ForceProvenance = cfg.Provenance
-	defer func() { attack.ForceReference, attack.ForceProvenance = savedRef, savedProv }()
+	if opts.Policy == 0 {
+		opts.Policy = taint.PolicyPointerTaintedness
+	}
 
 	var targets []*Target
 	for _, sc := range attack.Scenarios() {
@@ -90,7 +89,7 @@ func PrepareTargets(cfg Config, filter func(name string) bool) ([]*Target, error
 		if filter != nil && !filter(sc.Name) {
 			continue
 		}
-		m, err := sc.Prepare(policy)
+		m, err := sc.Boot(opts)
 		if err != nil {
 			return nil, fmt.Errorf("prepare %s: %w", sc.Name, err)
 		}
@@ -123,11 +122,10 @@ func PrepareTargets(cfg Config, filter func(name string) bool) ([]*Target, error
 		if !ok {
 			return nil, fmt.Errorf("benign target %s: program %q not in corpus", b.name, b.prog)
 		}
-		m, err := attack.Boot(p, attack.Options{
-			Policy: policy,
-			Stdin:  []byte(b.stdin),
-			Files:  map[string][]byte{"/input": progs.SpecInput(b.prog, 1)},
-		})
+		bopts := opts
+		bopts.Stdin = []byte(b.stdin)
+		bopts.Files = map[string][]byte{"/input": progs.SpecInput(b.prog, 1)}
+		m, err := attack.Boot(p, bopts)
 		if err != nil {
 			return nil, fmt.Errorf("boot %s: %w", b.name, err)
 		}
@@ -239,17 +237,16 @@ type Config struct {
 	// Targets and InjectorNames filter the grid (empty = all).
 	Targets       []string
 	InjectorNames []string
-	// Deadline is the per-run wall-clock backstop (0 = none). The
-	// deterministic containment is the guest's own step budget; the
-	// deadline only matters if the host-side harness itself wedges, and a
-	// run it reaps classifies as Timeout.
-	Deadline time.Duration
-	// Retries bounds the extra attempts a panicked or errored run gets
-	// (retry-with-reseed; 0 = the default of 1, negative = none).
-	Retries int
-	// Backoff is the base delay before each retry, growing exponentially
-	// with seeded jitter (0 = immediate retries).
-	Backoff time.Duration
+	// Containment bounds the guests and the pool guard. Budget and
+	// MemLimit apply to the machines PrepareTargets boots (0 = defaults;
+	// injected forks run under a tighter calibrated budget). Deadline is
+	// the per-run wall-clock backstop (0 = none): the deterministic
+	// containment is the guest's own step budget, and a run the deadline
+	// reaps classifies as Timeout. Retries bounds the extra attempts a
+	// panicked or errored run gets (retry-with-reseed; 0 = the default of
+	// 1, negative = none). Backoff is the base delay before each retry,
+	// growing exponentially with seeded jitter (0 = immediate retries).
+	Containment core.Containment
 	// Stop, when closed, drains the campaign: no new runs are admitted,
 	// in-flight forks finish, and the report carries Interrupted with the
 	// skipped-slot count — the SIGINT path for ptfault.
@@ -332,15 +329,6 @@ type Report struct {
 // MaxFlights bounds the flight records a report retains in memory.
 const MaxFlights = obs.MaxFlights
 
-// mix is splitmix64: it decorrelates per-run seeds derived from the
-// campaign seed and the run index, independent of execution order.
-func mix(seed int64, i uint64) int64 {
-	z := uint64(seed) + (i+1)*0x9E3779B97F4A7C15
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return int64(z ^ (z >> 31))
-}
-
 // Campaign runs cfg.Runs injected sessions over the prepared targets and
 // aggregates the coverage report. Each run forks its target's snapshot,
 // arms its injector at a seeded trigger inside the control session's
@@ -384,7 +372,7 @@ func Campaign(cfg Config, targets []*Target, keepResults bool) (*Report, error) 
 		workers = campaign.DefaultWorkers()
 	}
 
-	retries := cfg.Retries
+	retries := cfg.Containment.Retries
 	switch {
 	case retries == 0:
 		retries = 1
@@ -392,9 +380,9 @@ func Campaign(cfg Config, targets []*Target, keepResults bool) (*Report, error) 
 		retries = 0
 	}
 	opts := campaign.GuardOpts{
-		Deadline: cfg.Deadline,
+		Deadline: cfg.Containment.Deadline,
 		Retries:  retries,
-		Backoff:  cfg.Backoff,
+		Backoff:  cfg.Containment.Backoff,
 		Seed:     cfg.Seed,
 		Stop:     cfg.Stop,
 	}
@@ -402,7 +390,10 @@ func Campaign(cfg Config, targets []*Target, keepResults bool) (*Report, error) 
 		func(i, attempt int) (RunResult, error) {
 			t := targets[i%len(targets)]
 			in := injectors[(i/len(targets))%len(injectors)]
-			return runOne(t, in, i, mix(cfg.Seed, uint64(i))+int64(attempt)), nil
+			// The run seed depends on the campaign seed and the run index
+			// only, never on execution order.
+			seed := int64(obs.SplitMix64(uint64(cfg.Seed), uint64(i)))
+			return runOne(t, in, i, seed+int64(attempt)), nil
 		})
 
 	rep := &Report{

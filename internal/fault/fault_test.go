@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/attack"
+	"repro/internal/core"
 	"repro/internal/cpu"
 	"repro/internal/metrics"
 )
@@ -35,7 +36,7 @@ func marshal(t *testing.T, rep *Report) string {
 // the campaign.
 func TestCampaignWorkerCountDeterminism(t *testing.T) {
 	targets := prepare(t, false)
-	cfg := Config{Seed: 42, Runs: 72, Deadline: time.Minute}
+	cfg := Config{Seed: 42, Runs: 72, Containment: core.Containment{Deadline: time.Minute}}
 
 	cfg.Workers = 1
 	seq, err := Campaign(cfg, targets, true)

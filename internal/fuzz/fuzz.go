@@ -25,10 +25,10 @@ import (
 	"math/rand"
 	"sort"
 	"sync"
-	"time"
 
 	"repro/internal/attack"
 	"repro/internal/campaign"
+	"repro/internal/core"
 	"repro/internal/cpu"
 	"repro/internal/fault"
 	"repro/internal/obs"
@@ -56,10 +56,14 @@ type Config struct {
 	Reference bool
 	// Targets filters the fuzzable surfaces by scenario name (empty = all).
 	Targets []string
-	// Deadline is a per-exec wall-clock backstop (0 = none). The guest's
-	// step budget is the deterministic containment; a nonzero deadline
-	// trades determinism for protection against host-side wedges.
-	Deadline time.Duration
+	// Containment bounds the guests. Budget and MemLimit apply to the
+	// machines PrepareTargets boots (0 = defaults; forks run under a
+	// calibrated per-exec budget). Deadline is a per-exec wall-clock
+	// backstop (0 = none): the guest's step budget is the deterministic
+	// containment, and a nonzero deadline trades determinism for
+	// protection against host-side wedges. Retries and Backoff do not
+	// apply: a failed exec is recorded, never re-run.
+	Containment core.Containment
 	// TrimLimit bounds the minimization re-runs spent per admitted corpus
 	// entry (default 12; negative disables trimming).
 	TrimLimit int
@@ -124,17 +128,20 @@ func PrepareTargets(cfg Config) ([]*Target, error) {
 	for _, n := range cfg.Targets {
 		want[n] = true
 	}
-	savedRef, savedProv := attack.ForceReference, attack.ForceProvenance
-	attack.ForceReference = cfg.Reference
-	attack.ForceProvenance = true
-	defer func() { attack.ForceReference, attack.ForceProvenance = savedRef, savedProv }()
+	opts := attack.Options{
+		Policy:     cfg.Policy,
+		Budget:     cfg.Containment.Budget,
+		MemLimit:   cfg.Containment.MemLimit,
+		Reference:  cfg.Reference,
+		Provenance: true,
+	}
 
 	var targets []*Target
 	for _, it := range attack.InputTargets() {
 		if len(want) > 0 && !want[it.Scenario.Name] {
 			continue
 		}
-		m, err := it.Scenario.Prepare(cfg.Policy)
+		m, err := it.Scenario.Boot(opts)
 		if err != nil {
 			return nil, fmt.Errorf("prepare %s: %w", it.Scenario.Name, err)
 		}
@@ -294,20 +301,11 @@ type execResult struct {
 	instrs uint64
 }
 
-// mix is splitmix64 over the campaign seed and a schedule position; it
-// decorrelates per-candidate mutation streams independent of execution
-// order.
-func mix(seed int64, i uint64) int64 {
-	z := uint64(seed) + (i+1)*0x9E3779B97F4A7C15
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return int64(z ^ (z >> 31))
-}
-
-// slotSeed derives the mutation seed for (generation, slot). Slots fit in
-// 20 bits: a batch is at most the pool's 4096-item cap.
+// slotSeed derives the mutation seed for (generation, slot), independent
+// of execution order. Slots fit in 20 bits: a batch is at most the pool's
+// 4096-item cap.
 func slotSeed(seed int64, gen, slot int) int64 {
-	return mix(seed, uint64(gen)<<20|uint64(slot))
+	return int64(obs.SplitMix64(uint64(seed), uint64(gen)<<20|uint64(slot)))
 }
 
 // covPool recycles coverage maps across execs; a map belongs to exactly
@@ -412,7 +410,7 @@ func fuzzTarget(cfg Config, t *Target) (*TargetReport, error) {
 	findings := make(map[string]*Finding)
 	var corpus [][]byte
 
-	opts := campaign.GuardOpts{Deadline: cfg.Deadline}
+	opts := campaign.GuardOpts{Deadline: cfg.Containment.Deadline}
 	gen := 0
 	for tr.Execs < cfg.Execs && !stopRequested(cfg.Stop) {
 		batch := cfg.Batch

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/attack"
+	"repro/internal/core"
 	"repro/internal/cpu"
 	"repro/internal/fault"
 	"repro/internal/prov"
@@ -140,7 +141,7 @@ func panicInputTarget(t *testing.T) *Target {
 		Scenario: attack.Scenario{
 			Name:        "panic-victim",
 			Description: "test double: host worker panics on odd-length inputs",
-			Prepare:     sc.Prepare,
+			Boot:        sc.Boot,
 			Session: func(m *attack.Machine) (attack.Outcome, error) {
 				return attack.Outcome{}, nil
 			},
@@ -225,7 +226,7 @@ func TestFuzzConsistentUnderDeadline(t *testing.T) {
 		Scenario: attack.Scenario{
 			Name:        "wedge-victim",
 			Description: "test double: host worker wedges on odd-length inputs",
-			Prepare:     sc.Prepare,
+			Boot:        sc.Boot,
 			Session: func(m *attack.Machine) (attack.Outcome, error) {
 				return attack.Outcome{}, nil
 			},
@@ -251,7 +252,7 @@ func TestFuzzConsistentUnderDeadline(t *testing.T) {
 	// Trimming is disabled: trim re-runs have no deadline backstop, and a
 	// wedging truncated candidate would stall minimization, not the pool.
 	cfg := Config{Seed: 7, Execs: 64, Batch: 32, Workers: 4,
-		Deadline: 50 * time.Millisecond, TrimLimit: -1}
+		Containment: core.Containment{Deadline: 50 * time.Millisecond}, TrimLimit: -1}
 	rep, err := Fuzz(cfg, []*Target{tgt})
 	if err != nil {
 		t.Fatalf("fuzz: %v", err)

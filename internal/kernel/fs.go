@@ -80,6 +80,9 @@ func (f *file) read(p []byte) int {
 	return n
 }
 
+// remaining returns how many bytes a read at the current offset returns.
+func (f *file) remaining() int { return max(0, len(f.fs.files[f.path])-f.pos) }
+
 func (f *file) write(p []byte) int {
 	data := f.fs.files[f.path]
 	if f.appendW {

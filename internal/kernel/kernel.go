@@ -50,6 +50,11 @@ const (
 	FDStderr = 2
 )
 
+// maxTransfer caps the bytes one write copies in from the guest: far
+// above any corpus program's write, far below what a hostile length
+// could make the host allocate.
+const maxTransfer = 1 << 20
+
 // BlockedError is returned by CPU.Run when the guest would block on I/O
 // (accept with no pending connection, recv/read on an empty open stream).
 // The host driver services the wait — injecting input or connecting — and
@@ -363,13 +368,27 @@ func (k *Kernel) readCString(c *cpu.CPU, addr uint32) string {
 	return string(buf)
 }
 
+// readable returns how many bytes a read on d can deliver right now.
+func (k *Kernel) readable(d *fdesc) int {
+	switch {
+	case d.stdin:
+		return len(k.stdin) - k.stdinPos
+	case d.file != nil:
+		return d.file.remaining()
+	case d.conn != nil:
+		return d.conn.In.Len()
+	}
+	return 0
+}
+
 func (k *Kernel) sysRead(c *cpu.CPU, fd int32, buf, n uint32) error {
 	d := k.lookup(fd)
 	if d == nil {
 		c.SetReg(isa.RegV0, uint32(0xFFFFFFFF), taint.None)
 		return nil
 	}
-	tmp := make([]byte, n)
+	// The guest picks n; the host buffer is sized by what exists.
+	tmp := make([]byte, min(int(n), k.readable(d)))
 	switch {
 	case d.stdin:
 		if k.stdinPos >= len(k.stdin) {
@@ -429,6 +448,10 @@ func (k *Kernel) sysWrite(c *cpu.CPU, fd int32, buf, n uint32) error {
 		c.SetReg(isa.RegV0, uint32(0xFFFFFFFF), taint.None)
 		return nil
 	}
+	// One call copies at most maxTransfer bytes and reports the short
+	// count, as POSIX allows, so a guest-chosen length cannot make the
+	// host allocate gigabytes.
+	n = min(n, maxTransfer)
 	data := k.copyIn(c, buf, int(n))
 	switch {
 	case d.std == 1:

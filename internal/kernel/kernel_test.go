@@ -2,6 +2,7 @@ package kernel
 
 import (
 	"errors"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -528,5 +529,69 @@ func TestSetArgsLayoutAndTaint(t *testing.T) {
 	// Stack pointer moved below the block and stayed aligned.
 	if sp := c.Reg(isa.RegSP); sp >= asm.StackTop || sp%8 != 0 {
 		t.Errorf("sp = %#x", sp)
+	}
+}
+
+// TestHostileTransferLengths: a guest asking read/write for gigabytes
+// gets what exists (read) or one bounded transfer (write), the same on
+// both engines, without the host allocating anything near the asked
+// length.
+func TestHostileTransferLengths(t *testing.T) {
+	const src = `
+	.data
+	buf:	.space 16
+	.text
+	main:
+		li $a0, 0          # stdin
+		la $a1, buf
+		li $a2, 0xFFFFFF00
+		li $v0, 3          # read
+		syscall
+		move $s0, $v0
+		li $a0, 1          # stdout
+		la $a1, buf
+		li $a2, 0x7FFFFFFF
+		li $v0, 4          # write
+		syscall
+		move $s1, $v0
+		li $v0, 1
+		li $a0, 0
+		syscall
+	`
+	type result struct {
+		read, wrote uint32
+		out         string
+	}
+	run := func(fast bool) result {
+		mc := boot(t, src)
+		mc.k.SetStdin([]byte("abc"))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		var err error
+		if fast {
+			err = mc.c.RunFast(1_000_000)
+		} else {
+			err = mc.c.Run(1_000_000)
+		}
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatalf("fast=%v: %v", fast, err)
+		}
+		if d := after.TotalAlloc - before.TotalAlloc; d >= 16<<20 {
+			t.Errorf("fast=%v: host allocated %d bytes", fast, d)
+		}
+		return result{mc.c.Reg(isa.RegS0), mc.c.Reg(isa.RegS1), mc.k.Stdout()}
+	}
+	ref, fast := run(false), run(true)
+	if ref.read != 3 {
+		t.Errorf("read returned %d, want 3", ref.read)
+	}
+	if ref.wrote != maxTransfer || len(ref.out) != maxTransfer || !strings.HasPrefix(ref.out, "abc\x00") {
+		t.Errorf("write returned %d with %d bytes of stdout, want one %d-byte transfer starting with the input",
+			ref.wrote, len(ref.out), maxTransfer)
+	}
+	if ref != fast {
+		t.Errorf("engines differ: reference read %d wrote %d, fast read %d wrote %d (stdout equal: %v)",
+			ref.read, ref.wrote, fast.read, fast.wrote, ref.out == fast.out)
 	}
 }

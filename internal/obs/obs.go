@@ -14,16 +14,18 @@
 // comparison.
 package obs
 
-// splitmix64 is the finalizer from Vigna's SplitMix64 generator — the
-// same mixer the fault campaign uses for per-run seeds. It is the only
-// source of ID entropy here: IDs must be a pure function of seed and
-// span topology so two engines replaying one request mint identical
-// trace trees.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
+// SplitMix64 returns output i (counting from 0) of Vigna's SplitMix64
+// generator seeded with seed. It is the one mixer behind every value
+// that must be a pure function of a seed and a position, never of
+// execution order: fault-campaign run seeds, fuzzing mutation streams,
+// retry-backoff jitter, and the span IDs here, which must depend only on
+// seed and span topology so two engines replaying one request mint
+// identical trace trees.
+func SplitMix64(seed, i uint64) uint64 {
+	z := seed + (i+1)*0x9e3779b97f4a7c15
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	return z ^ (z >> 31)
 }
 
 // deriveID folds a parent ID, a span name, and a per-tracer sequence
@@ -31,7 +33,7 @@ func splitmix64(x uint64) uint64 {
 func deriveID(parent uint64, name string, seq uint64) uint64 {
 	h := parent
 	for i := 0; i < len(name); i++ {
-		h = splitmix64(h ^ uint64(name[i]))
+		h = SplitMix64(h^uint64(name[i]), 0)
 	}
-	return splitmix64(h ^ seq)
+	return SplitMix64(h^seq, 0)
 }

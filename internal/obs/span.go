@@ -34,7 +34,7 @@ type SpanRecord struct {
 
 // Tracer mints hierarchical spans for one session or one campaign run.
 // Create one tracer per unit of work, seeded from that work's request
-// seed: the root ID is splitmix64(seed) and every child ID is derived
+// seed: the root ID is SplitMix64(seed, 0) and every child ID is derived
 // from (parent ID, name, per-tracer sequence), so the span tree a
 // request produces is byte-identical at any worker count and under
 // either engine — only the durations differ.
@@ -58,7 +58,7 @@ type Tracer struct {
 
 // NewTracer returns a tracer whose IDs derive from seed.
 func NewTracer(seed uint64) *Tracer {
-	return &Tracer{root: splitmix64(seed), epoch: time.Now()}
+	return &Tracer{root: SplitMix64(seed, 0), epoch: time.Now()}
 }
 
 // Span is an in-flight span; End completes it into the tracer's record

@@ -98,8 +98,8 @@ func (s *Server) handleSession(w http.ResponseWriter, r *http.Request) {
 	tr := obs.NewTracer(uint64(req.Seed))
 	tr.Observe = s.observeSpan
 	adm := tr.Start(nil, "admit")
-	j, aerr := s.admit(tenant, &req, tr)
-	adm.End()
+	j, aerr := s.admit(tenant, &req, tr, adm)
+	adm.End() // no-op when admit already ended it
 	if aerr != nil {
 		if aerr.code == http.StatusTooManyRequests || aerr.code == http.StatusServiceUnavailable {
 			retryAfter(w)
@@ -118,7 +118,7 @@ func (s *Server) handleSession(w http.ResponseWriter, r *http.Request) {
 // admit applies the admission pipeline under one lock acquisition:
 // validation, quotas, drain, shedding, per-tenant cap, queue
 // backpressure. On success the session is queued and charged admitted.
-func (s *Server) admit(tenant string, req *SessionRequest, tr *obs.Tracer) (*job, *admitError) {
+func (s *Server) admit(tenant string, req *SessionRequest, tr *obs.Tracer, adm *obs.Span) (*job, *admitError) {
 	verr := s.validate(req)
 
 	s.mu.Lock()
@@ -159,6 +159,9 @@ func (s *Server) admit(tenant string, req *SessionRequest, tr *obs.Tracer) (*job
 	// never ended, so it records nothing).
 	j.queued = tr.Start(nil, "queue")
 	s.hub.open(j.id)
+	// Admission is over once the job is visible to a worker: end its span
+	// first, so "admit" always ends before "queue".
+	adm.End()
 	select {
 	case s.queue <- j:
 		t.admitted++

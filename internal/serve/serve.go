@@ -184,8 +184,7 @@ type Server struct {
 	// hub fans guest events out to SSE subscribers per session.
 	hub *eventHub
 
-	// Prepared once before serving — scenario boots toggle process-wide
-	// attack.Force* globals, so no boot may race a running campaign.
+	// Prepared once before serving, under the default boot options.
 	snaps        map[string]*snapEntry
 	faultTargets []*fault.Target
 	fuzzTargets  map[string]*fuzz.Target

@@ -239,13 +239,11 @@ func (s *Server) runFault(j *job, res *SessionResult) {
 		runs = 60
 	}
 	cfg := fault.Config{
-		Seed:     req.Seed,
-		Runs:     runs,
-		Workers:  s.cfg.SessionWorkers,
-		Deadline: s.cfg.Containment.Deadline,
-		Retries:  s.cfg.Containment.Retries,
-		Backoff:  s.cfg.Containment.Backoff,
-		Stop:     s.drain,
+		Seed:        req.Seed,
+		Runs:        runs,
+		Workers:     s.cfg.SessionWorkers,
+		Containment: s.cfg.Containment,
+		Stop:        s.drain,
 	}
 	if req.Scenario != "" {
 		cfg.Targets = []string{req.Scenario}
