@@ -56,8 +56,9 @@ func (s *Snapshot) Stats() cpu.Stats { return s.cpu.Stats() }
 
 // Fork stamps out an independent Machine in the snapshot's state: memory
 // is shared copy-on-write, the kernel (filesystem, network, fd table) is
-// deep-copied, and CPU registers, taint, statistics, and the predecode
-// caches are cloned. Fork only reads the snapshot, so it is safe to call
+// deep-copied, CPU registers, taint and statistics are cloned, and the
+// predecoded text is shared: every fork of the snapshot reuses the blocks
+// any of them has built. Fork only reads the snapshot, so it is safe to call
 // concurrently from campaign workers. Host-side network Endpoints from
 // before the snapshot still address the original machine; a forked
 // session opens its own connections via Connect.

@@ -56,6 +56,45 @@ func TestParallelMatchesSequential(t *testing.T) {
 	}
 }
 
+// TestSessionsMatchColdTable: forks of one snapshot share its block table,
+// so a session may reuse blocks its siblings built. Every session — on 4
+// workers racing to publish into a cold table, then on 1 worker over the
+// warm one — must fingerprint exactly like the first session on a cold
+// table of its own.
+func TestSessionsMatchColdTable(t *testing.T) {
+	for _, name := range []string{"exp1-stack", "wuftpd-site-exec"} {
+		t.Run(name, func(t *testing.T) {
+			sc, ok := attack.ScenarioByName(name)
+			if !ok {
+				t.Fatalf("scenario %s missing", name)
+			}
+			snapshot := func() *attack.Snapshot {
+				origin, err := sc.Prepare(taint.PolicyPointerTaintedness)
+				if err != nil {
+					t.Fatalf("prepare: %v", err)
+				}
+				snap, err := origin.Snapshot()
+				if err != nil {
+					t.Fatalf("snapshot: %v", err)
+				}
+				return snap
+			}
+			session := func(i int, m *attack.Machine) (attack.Outcome, error) {
+				return sc.Session(m)
+			}
+			want := SessionFingerprint(Run(snapshot(), 1, 1, session)[0])
+			snap := snapshot()
+			for _, workers := range []int{4, 1} {
+				for i, r := range Run(snap, 8, workers, session) {
+					if fp := SessionFingerprint(r); fp != want {
+						t.Fatalf("%d workers, session %d differs from the cold-table session:\n got:  %s\n want: %s", workers, i, fp, want)
+					}
+				}
+			}
+		})
+	}
+}
+
 // TestForEachCollectsAllErrors: one failing index must not hide the
 // others, and results keep index order regardless of worker count.
 func TestForEachCollectsAllErrors(t *testing.T) {

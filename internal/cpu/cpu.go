@@ -42,12 +42,6 @@ type Config struct {
 	Image *asm.Image
 }
 
-// decodedSlot is one predecode-cache entry.
-type decodedSlot struct {
-	in    isa.Instruction
-	valid bool
-}
-
 // regHome records where a register's current value was loaded from. It
 // backs the compare-untaint write-through: when a compare instruction
 // untaints a register whose value still mirrors a memory location, the
@@ -113,19 +107,23 @@ type CPU struct {
 
 	penalties PenaltySource // non-nil when the bus models miss latency
 
-	// Predecoded text segment: decoded[i] caches the instruction at
-	// textBase + 4i, and blocks[i] caches the basic block entered there
-	// (fastpath.go). Stores into the range [textBase, textEnd) invalidate
-	// entries of both, so self-modifying code stays correct.
+	// Predecoded text segment [textBase, textEnd): text is the block
+	// table (fork.go), slot i holding the instruction at textBase + 4i and
+	// the basic block entered there, shared by every member of a snapshot
+	// family. seen has bit i set once this machine has dispatched the
+	// block entered at word i; a first dispatch counts as a BlockMiss.
+	// Stores into text evict overlapped entries, so self-modifying code
+	// stays correct.
 	textBase uint32
 	textEnd  uint32
-	decoded  []decodedSlot
-	blocks   []*decBlock
+	text     *blockTable
+	seen     []uint64
 
-	// Superblock tier (superblock.go): sblocks[i] caches the compiled
-	// trace entered at text word i (sbUnfusable marks failed builds),
-	// sbHeat counts block-path dispatches toward sbHotThreshold, and
-	// sbOff disables the tier. Never shared: forks drop both and recount.
+	// Superblock tier (superblock.go): sblocks[o] caches the compiled
+	// trace entered at the block of ordinal o (sbUnfusable marks failed
+	// builds), sbHeat counts block-path dispatches toward sbHotThreshold,
+	// and sbOff disables the tier. Never shared: forks drop both and
+	// recount.
 	sblocks []*superblock
 	sbHeat  []uint16
 	sbOff   bool
@@ -142,18 +140,6 @@ type CPU struct {
 	// changed) or a probe registration (a probe may rewrite registers and
 	// taint behind the analysis's back).
 	staticFacts []uint8
-
-	// textShared records that ShareText has marked every current block as
-	// shared with forked CPUs; it makes a second ShareText (and hence
-	// concurrent Fork calls on a snapshotted CPU) a read-only no-op.
-	textShared bool
-
-	// decodeShared means the decoded and blocks slice headers are aliased
-	// with other forks of one snapshot: read freely, but privatizeDecode
-	// must run before any slot is written. Fork sets it instead of copying
-	// the caches eagerly, so a fork that never decodes anything new pays
-	// nothing for them.
-	decodeShared bool
 
 	// injectFn, when non-nil, is a one-shot fault-injection callback armed
 	// by InjectAt (guard.go) to fire at the first instruction boundary
@@ -213,18 +199,20 @@ func (c *CPU) setHome(r isa.Register, addr uint32, width int) {
 }
 
 // invalidateText drops predecode entries overlapped by a store (support
-// for self-modifying code; never hit by the corpus). The per-byte walk
-// handles stores that only partially overlap the text segment or a word;
-// every word a single byte lands in loses its decoded slot and — via
+// for self-modifying code; never hit by the corpus). A machine sharing its
+// block table leaves the family first. The per-byte walk handles stores
+// that only partially overlap the text segment or a word; every word a
+// single byte lands in loses its decoded instruction and — via
 // evictBlocksAt — every predecoded block spanning that word.
 func (c *CPU) invalidateText(addr uint32, width int) {
 	// One range compare rejects the overwhelmingly common data store; the
 	// wrap-around of addr+width only ever skips stores that could not
 	// reach the text segment anyway.
-	if c.decoded == nil || addr >= c.textEnd || addr+uint32(width) <= c.textBase {
+	if c.text == nil || addr >= c.textEnd || addr+uint32(width) <= c.textBase {
 		return
 	}
 	c.sbInval = sbInvalSelfModify
+	c.ownText()
 	if c.staticFacts != nil {
 		// Self-modifying text voids the whole-program analysis, not just
 		// the stored-to words; drop every fact and every block carrying
@@ -232,17 +220,25 @@ func (c *CPU) invalidateText(addr uint32, width int) {
 		c.staticFacts = nil
 		c.flushBlocks()
 	}
-	if c.decodeShared {
-		c.privatizeDecode()
-	}
 	lastIdx := ^uint32(0)
 	for i := 0; i < width; i++ {
 		idx := (addr + uint32(i) - c.textBase) >> 2
-		if idx < uint32(len(c.decoded)) && idx != lastIdx {
-			c.decoded[idx].valid = false
+		if idx < uint32(len(c.text.slots)) && idx != lastIdx {
+			c.text.slots[idx].ins.Store(nil)
 			c.evictBlocksAt(idx)
 			lastIdx = idx
 		}
+	}
+}
+
+// HostWrote tells the machine that host code — the kernel's copy-out —
+// stored n bytes at addr through its bus. Predecoded text the write
+// overlaps is dropped exactly as for a guest store: a guest reading input
+// over its own code must not keep running stale blocks, nor publish blocks
+// decoded from text its snapshot siblings do not hold.
+func (c *CPU) HostWrote(addr uint32, n int) {
+	if n > 0 {
+		c.invalidateText(addr, n)
 	}
 }
 
@@ -397,8 +393,14 @@ func (c *CPU) Step() error {
 // entry probes have run.
 func (c *CPU) stepOne() error {
 	var in isa.Instruction
-	if idx := (c.pc - c.textBase) >> 2; c.decoded != nil && idx < uint32(len(c.decoded)) && c.decoded[idx].valid {
-		in = c.decoded[idx].in
+	var slot *textSlot
+	var p *isa.Instruction
+	if idx := (c.pc - c.textBase) >> 2; idx < uint32(c.text.words()) {
+		slot = &c.text.slots[idx]
+		p = slot.ins.Load()
+	}
+	if p != nil {
+		in = *p
 	} else {
 		word, _, err := c.bus.LoadWord(c.pc)
 		if err != nil {
@@ -413,11 +415,10 @@ func (c *CPU) stepOne() error {
 		if err != nil {
 			return c.fault("illegal instruction: " + err.Error())
 		}
-		if idx < uint32(len(c.decoded)) {
-			if c.decodeShared {
-				c.privatizeDecode()
-			}
-			c.decoded[idx] = decodedSlot{in: in, valid: true}
+		if slot != nil {
+			p = new(isa.Instruction)
+			*p = in
+			slot.ins.Store(p)
 		}
 	}
 	if c.tracer != nil {

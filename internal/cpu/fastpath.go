@@ -129,16 +129,39 @@ func memFop(op isa.Opcode) uint8 {
 	return fopNone
 }
 
-// decBlock is one predecoded basic block, keyed by the word index of its
-// first instruction. Stores into the block's text range (invalidateText)
-// clear valid; the next dispatch rebuilds from the current memory bytes.
-// A block with shared set is referenced by forked CPUs (ShareText) and is
-// immutable: a CPU that must drop one forgets its own pointer to it
-// instead of clearing valid, leaving siblings undisturbed.
+// decBlock is one predecoded basic block, published in the block table
+// slot of its first instruction's word. A published block is immutable —
+// family members may be dispatching it — so a store into its text range
+// (invalidateText) evicts it by clearing the slot, and the next dispatch
+// rebuilds from the current memory bytes. ord is the slot's dense ordinal,
+// the index of the entry's per-machine superblock state.
 type decBlock struct {
-	valid  bool
-	shared bool
-	ins    []decIns
+	ins []decIns
+	ord uint32
+}
+
+// seenAt reports whether this machine has dispatched the block entered at
+// text word idx (or inherited it from its snapshot). A seen block is
+// always present in the table.
+func (c *CPU) seenAt(idx uint32) bool {
+	return c.seen[idx>>6]&(1<<(idx&63)) != 0
+}
+
+// firstDispatch returns the block entered at text word idx on its first
+// dispatch in this machine — reusing one a family member already
+// published, or building and publishing it — and marks it seen. nil when
+// not even the first word decodes. The caller counts the BlockMiss.
+func (c *CPU) firstDispatch(idx uint32) *decBlock {
+	s := &c.text.slots[idx]
+	b := s.block.Load()
+	if b == nil {
+		if b = c.buildBlock(idx); b == nil {
+			return nil
+		}
+		b = c.text.publish(s, b)
+	}
+	c.seen[idx>>6] |= 1 << (idx & 63)
+	return b
 }
 
 // taintSources returns the registers whose taint feeds the instruction's
@@ -178,41 +201,31 @@ func taintSources(in isa.Instruction) (a, b isa.Register) {
 // blocks must never span a probed pc except at their entry, where StepBlock
 // runs the probes.
 func (c *CPU) flushBlocks() {
-	if c.decodeShared {
-		c.privatizeDecode()
-	}
-	for i := range c.blocks {
-		if b := c.blocks[i]; b != nil {
-			if !b.shared {
-				b.valid = false
-			}
-			c.blocks[i] = nil
-		}
-	}
-}
-
-// evictBlocksAt invalidates every block containing the text word at idx.
-// Blocks are at most maxBlockLen long, so only entries in the preceding
-// window can span idx — this is what keeps a store that overlaps a block's
-// interior or tail (not just its entry word) from leaving stale code live.
-func (c *CPU) evictBlocksAt(idx uint32) {
-	if c.blocks == nil {
+	if c.text == nil {
 		return
 	}
-	if c.decodeShared {
-		c.privatizeDecode()
+	c.ownText()
+	for i := range c.text.slots {
+		c.text.slots[i].block.Store(nil)
 	}
+	clear(c.seen)
+}
+
+// evictBlocksAt evicts every block containing the text word at idx from a
+// table this CPU owns (the caller has run ownText). Blocks are at most
+// maxBlockLen long, so only entries in the preceding window can span idx —
+// this is what keeps a store that overlaps a block's interior or tail (not
+// just its entry word) from leaving stale code live.
+func (c *CPU) evictBlocksAt(idx uint32) {
 	lo := uint32(0)
 	if idx >= maxBlockLen-1 {
 		lo = idx - (maxBlockLen - 1)
 	}
-	for j := lo; j <= idx && j < uint32(len(c.blocks)); j++ {
-		if b := c.blocks[j]; b != nil && b.valid && j+uint32(len(b.ins)) > idx {
-			if b.shared {
-				c.blocks[j] = nil
-			} else {
-				b.valid = false
-			}
+	slots := c.text.slots
+	for j := lo; j <= idx && j < uint32(len(slots)); j++ {
+		if b := slots[j].block.Load(); b != nil && j+uint32(len(b.ins)) > idx {
+			slots[j].block.Store(nil)
+			c.seen[j>>6] &^= 1 << (j & 63)
 		}
 	}
 }
@@ -224,48 +237,28 @@ func (c *CPU) evictBlocksAt(idx uint32) {
 // — the caller falls back to the reference step, which raises the same
 // fault the reference interpreter would.
 func (c *CPU) buildBlock(idx uint32) *decBlock {
-	// A new block writes both caches (its slot, plus the per-word decode
-	// fill below), so a fork still aliasing its snapshot's slices must
-	// privatize them first.
-	if c.decodeShared {
-		c.privatizeDecode()
-	}
 	base := c.textBase + idx*4
-	words := make([]uint32, 0, 16)
-	for i := uint32(0); i < maxBlockLen && idx+i < uint32(len(c.decoded)); i++ {
-		pc := base + i*4
+	var run [maxBlockLen]isa.Instruction
+	n := isa.PredecodeRun(run[:min(maxBlockLen, len(c.text.slots)-int(idx))], func(i int) (uint32, bool) {
+		pc := base + uint32(i)*4
 		if i > 0 && c.probes != nil {
 			if _, ok := c.probes[pc]; ok {
-				break
+				return 0, false
 			}
 		}
 		w, _, err := c.bus.LoadWord(pc)
-		if err != nil {
-			break
-		}
-		// Decode eagerly only to find the run's end, so the fetch loop
-		// stops at the terminator instead of pulling maxBlockLen words
-		// through the bus; PredecodeRun below produces the actual run.
-		in, derr := isa.Decode(w)
-		if w == 0 || derr != nil {
-			break
-		}
-		words = append(words, w)
-		if in.Op.EndsBlock() {
-			break
-		}
-	}
-	run := isa.PredecodeRun(words, maxBlockLen)
-	if len(run) == 0 {
+		return w, err == nil
+	})
+	if n == 0 {
 		return nil
 	}
-	b := &decBlock{valid: true, ins: make([]decIns, len(run))}
+	b := &decBlock{ins: make([]decIns, n)}
 	// Text normally sits far above the null page, making the per-step
 	// nextPC checks provably redundant for straight-line flow; when an image
 	// places text adjacent to the guard page (or at the top of the address
 	// space), force the checks on every instruction instead.
 	forceTail := base < nullPage || base > ^uint32(0)-uint32(maxBlockLen)*4
-	for i, in := range run {
+	for i, in := range run[:n] {
 		srcA, srcB := taintSources(in)
 		d := decIns{
 			in:     in,
@@ -317,11 +310,9 @@ func (c *CPU) buildBlock(idx uint32) *decBlock {
 			d.static = c.staticFacts[widx]
 		}
 		b.ins[i] = d
-		// Share the work with the per-word cache so the reference fallback
-		// (probes, tracing) needn't refetch.
-		if widx := idx + uint32(i); widx < uint32(len(c.decoded)) {
-			c.decoded[widx] = decodedSlot{in: in, valid: true}
-		}
+		// Share the work with the per-word decode so the reference fallback
+		// (probes, tracing) needn't refetch; every word of the run is in text.
+		c.text.slots[idx+uint32(i)].ins.Store(&b.ins[i].in)
 	}
 	return b
 }
@@ -578,7 +569,7 @@ func (c *CPU) StepBlock(max uint64) error {
 			return c.stepOne()
 		}
 	}
-	if c.blocks == nil || c.pc&3 != 0 {
+	if c.text == nil || c.pc&3 != 0 {
 		return c.stepOne()
 	}
 	// c.pc is written lazily: only before operations whose alert, fault,
@@ -609,18 +600,18 @@ func (c *CPU) StepBlock(max uint64) error {
 chain:
 	for {
 		idx := (pc - c.textBase) >> 2
-		if idx >= uint32(len(c.blocks)) {
+		if idx >= uint32(len(c.text.slots)) {
 			break // fall back to the reference step for this pc
 		}
-		b := c.blocks[idx]
-		if b == nil || !b.valid {
-			if b = c.buildBlock(idx); b == nil {
+		var b *decBlock
+		if c.seenAt(idx) {
+			b = c.text.slots[idx].block.Load()
+			c.stats.BlockHits++
+		} else {
+			if b = c.firstDispatch(idx); b == nil {
 				break
 			}
-			c.blocks[idx] = b
 			c.stats.BlockMisses++
-		} else {
-			c.stats.BlockHits++
 		}
 		n := len(b.ins)
 		if max > 0 {
@@ -642,15 +633,15 @@ chain:
 		// locals flushed — the superblock writes c.stats and c.pipe
 		// directly at its exits.
 		if !c.sbOff && c.probes == nil && c.profile == nil && c.flatMem != nil {
-			if len(c.sblocks) != len(c.blocks) {
-				c.sblocks = make([]*superblock, len(c.blocks))
-				c.sbHeat = make([]uint16, len(c.blocks))
+			o := b.ord
+			if o >= uint32(len(c.sbHeat)) {
+				c.growSuperblocks(o)
 			}
-			if sb := c.sblocks[idx]; sb == nil {
-				if c.sbHeat[idx] >= sbHotThreshold {
-					c.sblocks[idx] = c.buildSuperblock(idx)
+			if sb := c.sblocks[o]; sb == nil {
+				if c.sbHeat[o] >= sbHotThreshold {
+					c.sblocks[o] = c.buildSuperblock(idx)
 				} else {
-					c.sbHeat[idx]++
+					c.sbHeat[o]++
 				}
 			} else if sb != sbUnfusable && idx == sbSkip {
 				sbSkip = ^uint32(0) // consumed: the block path takes this one dispatch
@@ -670,8 +661,8 @@ chain:
 					default:
 						c.stats.SbDeoptSelfModify++
 					}
-					c.sblocks[idx] = nil
-					c.sbHeat[idx] = 0
+					c.sblocks[o] = nil
+					c.sbHeat[o] = 0
 				case (max == 0 || max-(c.stats.Instructions+done) >= uint64(len(sb.ops))) &&
 					c.sbEntryClean(sb):
 					c.pc = pc
@@ -687,7 +678,7 @@ chain:
 					} else {
 						sbSkip = idx
 						if sb.badEntries++; sb.badEntries > sbMaxBadEntries {
-							c.sblocks[idx] = sbUnfusable
+							c.sblocks[o] = sbUnfusable
 						}
 					}
 					continue chain
@@ -700,7 +691,7 @@ chain:
 						c.stats.SbDeoptTaintedEntry++
 					}
 					if sb.badEntries++; sb.badEntries > sbMaxBadEntries {
-						c.sblocks[idx] = sbUnfusable
+						c.sblocks[o] = sbUnfusable
 					}
 				}
 			}
@@ -976,9 +967,8 @@ chain:
 					return c.fault("segmentation fault: jump into the null page")
 				}
 			}
-			if d.kind == isa.KindStore && (!b.valid || c.blocks[idx] != b) {
-				// The store rewrote this block's own text (a shared block is
-				// evicted by nilling the slot rather than clearing valid);
+			if d.kind == isa.KindStore && c.text.slots[idx].block.Load() != b {
+				// The store rewrote this block's own text and evicted it;
 				// re-dispatch so the fresh bytes are decoded.
 				pc = nextPC
 				continue chain

@@ -25,16 +25,30 @@ func runFast(t *testing.T, policy taint.Policy, src string) (*CPU, error) {
 	return c, c.RunFast(1_000_000)
 }
 
-// buildAt assembles src and predecodes the block entered at text word idx,
-// installing it in the block cache as a dispatch would.
+// buildAt returns the block entered at text word idx as a dispatch would,
+// building and publishing it in the block table on its first dispatch.
 func buildAt(t *testing.T, c *CPU, idx uint32) *decBlock {
 	t.Helper()
-	b := c.buildBlock(idx)
-	if b == nil {
-		t.Fatalf("buildBlock(%d) = nil", idx)
+	if c.seenAt(idx) {
+		return c.text.slots[idx].block.Load()
 	}
-	c.blocks[idx] = b
+	b := c.firstDispatch(idx)
+	if b == nil {
+		t.Fatalf("firstDispatch(%d) = nil", idx)
+	}
 	return b
+}
+
+// blockLive reports whether b is still the block this machine dispatches
+// at text word idx.
+func blockLive(c *CPU, idx uint32, b *decBlock) bool {
+	return c.seenAt(idx) && c.text.slots[idx].block.Load() == b
+}
+
+// decodedAt reports whether the decoded instruction at text word idx is
+// cached.
+func decodedAt(c *CPU, idx uint32) bool {
+	return c.text.slots[idx].ins.Load() != nil
 }
 
 // straightLine is a long run of 1:1-encoded instructions ending in a clean
@@ -80,13 +94,13 @@ func TestInvalidateTextEvictsSpanningBlocks(t *testing.T) {
 	// A 2-byte store straddling words 5 and 6 overlaps the interior of
 	// both blocks; neither entry word is touched.
 	c.invalidateText(c.textBase+5*4+3, 2)
-	if b0.valid || b4.valid {
-		t.Errorf("spanning store left blocks live: b0.valid=%v b4.valid=%v", b0.valid, b4.valid)
+	if l0, l4 := blockLive(c, 0, b0), blockLive(c, 4, b4); l0 || l4 {
+		t.Errorf("spanning store left blocks live: b0=%v b4=%v", l0, l4)
 	}
-	if c.decoded[5].valid || c.decoded[6].valid {
-		t.Errorf("spanning store left decoded slots live: [5]=%v [6]=%v", c.decoded[5].valid, c.decoded[6].valid)
+	if decodedAt(c, 5) || decodedAt(c, 6) {
+		t.Errorf("spanning store left decoded slots live: [5]=%v [6]=%v", decodedAt(c, 5), decodedAt(c, 6))
 	}
-	if !c.decoded[4].valid {
+	if !decodedAt(c, 4) {
 		t.Errorf("store evicted an untouched decoded slot")
 	}
 
@@ -94,10 +108,10 @@ func TestInvalidateTextEvictsSpanningBlocks(t *testing.T) {
 	b0 = buildAt(t, c, 0)
 	b4 = buildAt(t, c, 4)
 	c.invalidateText(c.textBase+2*4, 4)
-	if b0.valid {
+	if blockLive(c, 0, b0) {
 		t.Errorf("store into word 2 left the block entered at word 0 live")
 	}
-	if !b4.valid {
+	if !blockLive(c, 4, b4) {
 		t.Errorf("store into word 2 evicted the block entered at word 4")
 	}
 
@@ -105,17 +119,17 @@ func TestInvalidateTextEvictsSpanningBlocks(t *testing.T) {
 	// bytes must still evict; the out-of-range prefix bytes are ignored.
 	b0 = buildAt(t, c, 0)
 	c.invalidateText(c.textBase-2, 4)
-	if b0.valid {
+	if blockLive(c, 0, b0) {
 		t.Errorf("store straddling the text base left the first block live")
 	}
-	if !b4.valid {
+	if !blockLive(c, 4, b4) {
 		t.Errorf("store straddling the text base evicted a later block")
 	}
 
 	// A store nowhere near the text segment evicts nothing.
 	b0 = buildAt(t, c, 0)
 	c.invalidateText(asm.DataBase, 4)
-	if !b0.valid || !b4.valid {
+	if !blockLive(c, 0, b0) || !blockLive(c, 4, b4) {
 		t.Errorf("data-segment store evicted text blocks")
 	}
 }
@@ -281,7 +295,7 @@ func TestProbesOnFastPath(t *testing.T) {
 	probePC := c.pc + 4*4 // the fifth instruction
 	fastHits := 0
 	c.AddProbe(probePC, func(*CPU) { fastHits++ })
-	if b.valid || c.blocks[0] != nil {
+	if blockLive(c, 0, b) || c.text.slots[0].block.Load() != nil {
 		t.Fatalf("AddProbe left predecoded blocks live")
 	}
 	if nb := buildAt(t, c, 0); len(nb.ins) != 4 {

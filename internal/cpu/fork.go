@@ -1,45 +1,121 @@
 package cpu
 
-import "repro/internal/mem"
+import (
+	"sync/atomic"
 
-// ShareText marks every currently predecoded basic block as shared:
-// immutable structures that forked CPUs may dispatch concurrently. Once a
-// block is shared, a CPU that must drop it (self-modifying store, new
-// probe) forgets its own pointer instead of clearing valid, so sibling
-// forks are undisturbed. ShareText requires exclusive access to the CPU;
-// on a CPU whose text is already shared it is a read-only no-op, which is
-// what makes concurrent Fork calls on a snapshotted CPU safe.
-func (c *CPU) ShareText() {
-	if c.textShared {
-		return
+	"repro/internal/isa"
+	"repro/internal/mem"
+)
+
+// blockTable is the predecoded text of one snapshot family: a loaded CPU
+// and every CPU forked from it, directly or through further snapshots, for
+// as long as none of them changes a block input — the text bytes, the
+// probe set, or the static facts. Slot i covers the text word at
+// textBase + 4i.
+//
+// A table nobody shares yet (a freshly loaded CPU, or one that left its
+// family) is written in place. Once ShareText marks it shared it only
+// grows: the first member to reach a block builds it and publishes it with
+// CompareAndSwap, and every other member reuses that immutable decBlock. A
+// member about to change a block input first leaves for a private copy
+// (ownText), so its siblings never see the change.
+type blockTable struct {
+	slots  []textSlot
+	ords   atomic.Uint32 // block ordinals handed out so far
+	shared bool
+}
+
+// textSlot is one text word's entry in a blockTable.
+type textSlot struct {
+	block atomic.Pointer[decBlock]        // the block entered at this word
+	ins   atomic.Pointer[isa.Instruction] // the decoded word, for stepOne
+	ord   atomic.Uint32                   // block ordinal + 1; 0 until the first publish
+}
+
+// newBlockTable returns an unshared table for a text segment of n words.
+func newBlockTable(n int) *blockTable {
+	return &blockTable{slots: make([]textSlot, n)}
+}
+
+// words returns the text length in words (0 for a CPU with no image).
+func (t *blockTable) words() int {
+	if t == nil {
+		return 0
 	}
-	for _, b := range c.blocks {
-		if b != nil {
-			b.shared = true
+	return len(t.slots)
+}
+
+// publish installs b as the block entered at slot s unless another family
+// member got there first, and returns the block that won. The slot's
+// ordinal is assigned on its first publish and kept across rebuilds, so a
+// machine's superblock state stays keyed by entry word.
+func (t *blockTable) publish(s *textSlot, b *decBlock) *decBlock {
+	o := s.ord.Load()
+	if o == 0 {
+		o = t.ords.Add(1)
+		if !s.ord.CompareAndSwap(0, o) {
+			o = s.ord.Load()
 		}
 	}
-	c.textShared = true
-	// The snapshot CPU itself must also stop writing the cache slices in
-	// place: forks alias them until their first write.
-	c.decodeShared = true
+	b.ord = o - 1
+	if s.block.CompareAndSwap(nil, b) {
+		return b
+	}
+	return s.block.Load()
+}
+
+// ownText makes the CPU's table its own before it changes a block input.
+// On a shared table it leaves the family for a private copy seeded with
+// exactly the blocks this machine has dispatched, every decoded word, and
+// the ordinals handed out so far; on an unshared table it does nothing.
+func (c *CPU) ownText() {
+	t := c.text
+	if t == nil || !t.shared {
+		return
+	}
+	// Ordinals a sibling hands out from here on were never seen by this
+	// machine; leaving them behind keeps the private ones from colliding.
+	n := t.ords.Load()
+	p := newBlockTable(len(t.slots))
+	p.ords.Store(n)
+	for i := range t.slots {
+		s, d := &t.slots[i], &p.slots[i]
+		d.ins.Store(s.ins.Load())
+		if o := s.ord.Load(); o != 0 && o <= n {
+			d.ord.Store(o)
+		}
+		if c.seenAt(uint32(i)) {
+			d.block.Store(s.block.Load())
+		}
+	}
+	c.text = p
+}
+
+// ShareText makes the CPU's predecoded text the shared table of a snapshot
+// family, so forked CPUs may dispatch and publish into it concurrently.
+// ShareText requires exclusive access to the CPU while its table is
+// unshared; on a shared table it is a read-only no-op, which is what makes
+// concurrent Fork calls on a snapshotted CPU safe.
+func (c *CPU) ShareText() {
+	if c.text != nil && !c.text.shared {
+		c.text.shared = true
+	}
 }
 
 // Fork returns a copy of the CPU wired to bus and handler. Registers,
 // taint vectors, register homes, pc, pipeline, statistics, and halt state
-// are value-copied; the predecode caches stay aliased with the snapshot
-// (decodeShared) and are privatized copy-on-write at the fork's first
-// cache write, while the decBlock entries themselves stay shared
-// read-only (ShareText runs first if it has not already); the image is
-// shared — it is immutable after assembly. Tracing is not inherited.
-// Probe tables are cloned but the probe functions themselves are shared,
-// so snapshot-time probes should be host-state-free.
+// are value-copied; the block table is shared with the snapshot family
+// (ShareText runs first if it has not already) and only the first-dispatch
+// bitset is copied, so forking costs one bit per text word rather than a
+// copy of the predecoded text. The image is shared — it is immutable after
+// assembly. Tracing is not inherited. Probe tables are cloned but the
+// probe functions themselves are shared, so snapshot-time probes should be
+// host-state-free.
 //
 // On a CPU whose text is already shared, Fork only reads the receiver, so
 // many goroutines may fork one snapshot CPU concurrently.
 func (c *CPU) Fork(bus Bus, handler SyscallHandler) *CPU {
-	if !c.textShared {
-		c.ShareText()
-	}
+	c.ShareText()
 	n := new(CPU)
 	*n = *c
 	n.bus = bus
@@ -64,6 +140,11 @@ func (c *CPU) Fork(bus Bus, handler SyscallHandler) *CPU {
 	// counter, and the heat slice is written per dispatch; neither may
 	// be shared across forks. Forks re-heat and recompile their own.
 	n.sblocks, n.sbHeat = nil, nil
+	// The fork starts with the snapshot's first-dispatch record: a block
+	// the snapshot had dispatched is a BlockHit here, as if inherited.
+	if c.seen != nil {
+		n.seen = append([]uint64(nil), c.seen...)
+	}
 	if c.prov != nil {
 		// Provenance state is inherited deep: the label table and the
 		// register shadows copy, so every fork resolves pre-snapshot
@@ -72,10 +153,6 @@ func (c *CPU) Fork(bus Bus, handler SyscallHandler) *CPU {
 		// so cloning only reads it.
 		n.prov = c.prov.clone()
 	}
-	// decoded and blocks slice headers were copied by *n = *c and stay
-	// aliased: ShareText set decodeShared, so the first write on either
-	// side goes through privatizeDecode. This is what keeps Fork O(state)
-	// rather than O(text) — the caches for wu-ftpd are ~300KB.
 	if c.watches != nil {
 		n.watches = append([]TaintWatch(nil), c.watches...)
 	}
@@ -92,16 +169,4 @@ func (c *CPU) Fork(bus Bus, handler SyscallHandler) *CPU {
 		n.probes = probes
 	}
 	return n
-}
-
-// privatizeDecode gives this CPU its own copy of the decoded and blocks
-// slices so in-place cache writes stop being visible to (or racing with)
-// sibling forks. The decBlock entries stay shared; eviction of a shared
-// block nils the private slot. Clearing textShared lets a later Snapshot
-// of this fork re-run ShareText over blocks built after the split.
-func (c *CPU) privatizeDecode() {
-	c.decoded = append([]decodedSlot(nil), c.decoded...)
-	c.blocks = append([]*decBlock(nil), c.blocks...)
-	c.decodeShared = false
-	c.textShared = false
 }

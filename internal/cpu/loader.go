@@ -14,11 +14,13 @@ import (
 func (c *CPU) LoadImage(m *mem.Memory, im *asm.Image) {
 	for i, seg := range im.Segments {
 		m.WriteBytes(seg.Addr, seg.Data, false)
-		if i == 0 { // text segment: size the predecode and block caches
+		if i == 0 { // text segment: a fresh block table nobody shares yet
+			n := (len(seg.Data) + 3) / 4
 			c.textBase = seg.Addr
-			c.decoded = make([]decodedSlot, (len(seg.Data)+3)/4)
-			c.blocks = make([]*decBlock, len(c.decoded))
-			c.textEnd = seg.Addr + uint32(len(c.decoded))*4
+			c.textEnd = seg.Addr + uint32(n)*4
+			c.text = newBlockTable(n)
+			c.seen = make([]uint64, (n+63)/64)
+			c.sblocks, c.sbHeat = nil, nil
 		}
 	}
 	c.pc = im.Entry

@@ -32,7 +32,7 @@ func TaintSources(in isa.Instruction) (a, b isa.Register) {
 // Existing predecoded blocks are flushed so they are rebuilt carrying
 // the new bits. Call after LoadImage and before execution.
 func (c *CPU) SetStaticFacts(facts []uint8) {
-	if facts != nil && len(facts) != len(c.decoded) {
+	if facts != nil && len(facts) != c.text.words() {
 		facts = nil
 	}
 	c.staticFacts = facts

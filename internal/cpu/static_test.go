@@ -102,7 +102,7 @@ func TestStaticFactsSkip(t *testing.T) {
 func TestStaticFactsLengthMismatch(t *testing.T) {
 	c, m := newMachine(t, straightLine)
 	_ = m
-	c.SetStaticFacts(make([]uint8, len(c.decoded)+1))
+	c.SetStaticFacts(make([]uint8, c.text.words()+1))
 	if c.staticFacts != nil {
 		t.Fatalf("mismatched fact vector was installed")
 	}
@@ -112,7 +112,7 @@ func TestStaticFactsLengthMismatch(t *testing.T) {
 // behind the analysis, so registering one must drop the facts.
 func TestStaticFactsDroppedOnProbe(t *testing.T) {
 	c, _ := newMachine(t, straightLine)
-	c.SetStaticFacts(make([]uint8, len(c.decoded)))
+	c.SetStaticFacts(make([]uint8, c.text.words()))
 	if c.staticFacts == nil {
 		t.Fatalf("facts not installed")
 	}
@@ -126,13 +126,13 @@ func TestStaticFactsDroppedOnProbe(t *testing.T) {
 // whole-program analysis.
 func TestStaticFactsDroppedOnSelfModify(t *testing.T) {
 	c, _ := newMachine(t, straightLine)
-	c.SetStaticFacts(make([]uint8, len(c.decoded)))
+	c.SetStaticFacts(make([]uint8, c.text.words()))
 	c.invalidateText(c.textBase+8, 4)
 	if c.staticFacts != nil {
 		t.Fatalf("facts survived a text store")
 	}
-	for _, b := range c.blocks {
-		if b != nil {
+	for i := range c.text.slots {
+		if c.text.slots[i].block.Load() != nil {
 			t.Fatalf("blocks survived the fact drop")
 		}
 	}

@@ -141,8 +141,8 @@ type sbExit struct {
 }
 
 // sbPart pins one constituent basic block: the superblock is live only
-// while every part is still the cached, valid block at its index, which
-// makes every existing invalidation path (self-modifying stores, probe
+// while every part is still the block in its table slot, which makes
+// every existing invalidation path (self-modifying stores, probe
 // registration, fact drops, fault injection) invalidate superblocks
 // with no extra hooks.
 type sbPart struct {
@@ -150,8 +150,8 @@ type sbPart struct {
 	b   *decBlock
 }
 
-// superblock is one compiled trace, keyed by the block index of its
-// entry pc.
+// superblock is one compiled trace, keyed by the ordinal of its entry
+// block (decBlock.ord).
 type superblock struct {
 	ops         []sbOp
 	exits       []sbExit
@@ -186,12 +186,24 @@ func (c *CPU) flushSuperblocks() {
 	}
 }
 
-// live reports whether every constituent block is still the cached,
-// valid block at its index.
+// growSuperblocks extends the per-ordinal superblock and heat slices to
+// cover ordinal o, at least to every ordinal the table has handed out so
+// far: a fork of a warm snapshot sizes them once, not per new block.
+func (c *CPU) growSuperblocks(o uint32) {
+	n := max(int(c.text.ords.Load()), 2*len(c.sbHeat), int(o)+1)
+	sblocks := make([]*superblock, n)
+	copy(sblocks, c.sblocks)
+	heat := make([]uint16, n)
+	copy(heat, c.sbHeat)
+	c.sblocks, c.sbHeat = sblocks, heat
+}
+
+// live reports whether every constituent block is still the block in its
+// table slot.
 func (sb *superblock) live(c *CPU) bool {
 	for i := range sb.parts {
 		p := &sb.parts[i]
-		if c.blocks[p.idx] != p.b || !p.b.valid {
+		if c.text.slots[p.idx].block.Load() != p.b {
 			return false
 		}
 	}
@@ -379,12 +391,11 @@ func (c *CPU) buildSuperblock(idx uint32) *superblock {
 			return sbUnfusable // revisit that is not the entry: no single loop head
 		}
 		visited[cur] = true
-		b := c.blocks[cur]
-		if b == nil || !b.valid {
-			if b = c.buildBlock(cur); b == nil {
+		b := c.text.slots[cur].block.Load()
+		if !c.seenAt(cur) {
+			if b = c.firstDispatch(cur); b == nil {
 				return sbUnfusable
 			}
-			c.blocks[cur] = b
 			c.stats.BlockMisses++
 		}
 		sb.parts = append(sb.parts, sbPart{idx: cur, b: b})
@@ -566,7 +577,7 @@ func (c *CPU) buildSuperblock(idx uint32) *superblock {
 		if closed {
 			break
 		}
-		if next >= uint32(len(c.blocks)) {
+		if next >= uint32(len(c.text.slots)) {
 			return sbUnfusable
 		}
 		cur = next

@@ -15,28 +15,26 @@ func (o Opcode) EndsBlock() bool {
 	return false
 }
 
-// PredecodeRun decodes consecutive instruction words into one straight-line
-// run (a basic block body): decoding stops after the first block-ending
-// instruction, before the first undecodable or null word (zeroed memory is
-// not code), or after limit instructions (limit <= 0 means all of words).
-// The returned slice is freshly allocated and safe to retain.
-func PredecodeRun(words []uint32, limit int) []Instruction {
-	if limit <= 0 || limit > len(words) {
-		limit = len(words)
-	}
-	out := make([]Instruction, 0, limit)
-	for _, w := range words[:limit] {
-		if w == 0 {
-			break
+// PredecodeRun decodes one straight-line run (a basic block body) into out
+// and returns its length, fetching and decoding each word once. fetch(i)
+// supplies the run's i-th word, or false where the run must end before it.
+// Decoding stops after the first block-ending instruction, before the
+// first undecodable or null word (zeroed memory is not code), or when out
+// is full.
+func PredecodeRun(out []Instruction, fetch func(i int) (uint32, bool)) int {
+	for i := range out {
+		w, ok := fetch(i)
+		if !ok || w == 0 {
+			return i
 		}
 		in, err := Decode(w)
 		if err != nil {
-			break
+			return i
 		}
-		out = append(out, in)
+		out[i] = in
 		if in.Op.EndsBlock() {
-			break
+			return i + 1
 		}
 	}
-	return out
+	return len(out)
 }

@@ -11,6 +11,16 @@ func words(ins ...Instruction) []uint32 {
 	return out
 }
 
+// predecode runs PredecodeRun over a word slice with room for limit
+// instructions (limit <= 0, or past the end, means all of ws).
+func predecode(ws []uint32, limit int) []Instruction {
+	if limit <= 0 || limit > len(ws) {
+		limit = len(ws)
+	}
+	out := make([]Instruction, limit)
+	return out[:PredecodeRun(out, func(i int) (uint32, bool) { return ws[i], true })]
+}
+
 var (
 	insADDIU = Instruction{Op: OpADDIU, Rt: 8, Rs: 8, Imm: 1}
 	insLW    = Instruction{Op: OpLW, Rt: 9, Rs: 29, Imm: 0}
@@ -53,7 +63,7 @@ func TestEndsBlockClassification(t *testing.T) {
 // dynamic, so nothing after it may be prefetched into the run.
 func TestPredecodeStopsAtJR(t *testing.T) {
 	ws := words(insADDIU, insLW, insJR, insADDIU, insADDIU)
-	run := PredecodeRun(ws, 0)
+	run := predecode(ws, 0)
 	if len(run) != 3 {
 		t.Fatalf("run length = %d, want 3 (through jr)", len(run))
 	}
@@ -67,7 +77,7 @@ func TestPredecodeStopsAtJR(t *testing.T) {
 // the call is its own entry point.
 func TestPredecodeStopsAtJAL(t *testing.T) {
 	ws := words(insADDIU, insJAL, insLW)
-	run := PredecodeRun(ws, 0)
+	run := predecode(ws, 0)
 	if len(run) != 2 || run[1].Op != OpJAL {
 		t.Fatalf("run = %d instructions ending %v, want 2 ending jal", len(run), run[len(run)-1].Op)
 	}
@@ -81,7 +91,7 @@ func TestPredecodeStopsAtJAL(t *testing.T) {
 // survive the decode round-trip so BranchTarget lands before the block.
 func TestPredecodeBackwardBranch(t *testing.T) {
 	ws := words(insADDIU, insADDIU, insADDIU, insBack)
-	run := PredecodeRun(ws, 0)
+	run := predecode(ws, 0)
 	if len(run) != 4 || run[3].Op != OpBNE {
 		t.Fatalf("run = %d instructions, want 4 ending bne", len(run))
 	}
@@ -96,7 +106,7 @@ func TestPredecodeBackwardBranch(t *testing.T) {
 // fallthrough pc is the word right after it.
 func TestPredecodeForwardBranchFallthrough(t *testing.T) {
 	ws := words(insLW, insFwd, insADDIU, insADDIU)
-	run := PredecodeRun(ws, 0)
+	run := predecode(ws, 0)
 	if len(run) != 2 || run[1].Op != OpBEQ {
 		t.Fatalf("run = %d instructions, want 2 ending beq", len(run))
 	}
@@ -111,7 +121,7 @@ func TestPredecodeForwardBranchFallthrough(t *testing.T) {
 func TestPredecodeTrapsEndBlocks(t *testing.T) {
 	for _, trap := range []Instruction{insSYS, insBRK} {
 		ws := words(insADDIU, trap, insADDIU)
-		run := PredecodeRun(ws, 0)
+		run := predecode(ws, 0)
 		if len(run) != 2 || run[1].Op != trap.Op {
 			t.Fatalf("run after %v = %d instructions ending %v, want 2",
 				trap.Op, len(run), run[len(run)-1].Op)
@@ -122,7 +132,7 @@ func TestPredecodeTrapsEndBlocks(t *testing.T) {
 // TestPredecodeNOPContinues: nop is KindSystem but must not end a block.
 func TestPredecodeNOPContinues(t *testing.T) {
 	ws := words(insNOP, insNOP, insADDIU, insJR)
-	if run := PredecodeRun(ws, 0); len(run) != 4 {
+	if run := predecode(ws, 0); len(run) != 4 {
 		t.Fatalf("run across nops = %d instructions, want 4", len(run))
 	}
 }
@@ -132,32 +142,38 @@ func TestPredecodeNOPContinues(t *testing.T) {
 // beyond len(words), and limit exactly at the terminator.
 func TestPredecodeLimitBoundary(t *testing.T) {
 	ws := words(insADDIU, insADDIU, insADDIU, insJR)
-	if run := PredecodeRun(ws, 2); len(run) != 2 {
+	if run := predecode(ws, 2); len(run) != 2 {
 		t.Fatalf("limit 2: run = %d instructions", len(run))
 	}
-	if run := PredecodeRun(ws, 100); len(run) != 4 {
+	if run := predecode(ws, 100); len(run) != 4 {
 		t.Fatalf("limit past end: run = %d instructions, want 4", len(run))
 	}
-	if run := PredecodeRun(ws, 4); len(run) != 4 || run[3].Op != OpJR {
+	if run := predecode(ws, 4); len(run) != 4 || run[3].Op != OpJR {
 		t.Fatalf("limit at terminator: run = %d instructions", len(run))
 	}
-	if run := PredecodeRun(ws, -1); len(run) != 4 {
+	if run := predecode(ws, -1); len(run) != 4 {
 		t.Fatalf("negative limit: run = %d instructions, want 4", len(run))
 	}
 }
 
 // TestPredecodeStopsAtZeroAndJunk: zeroed memory and undecodable words
-// are data, not code; the run ends before them.
+// are data, not code; the run ends before them. So it does before a word
+// the fetch declines (a probed pc, a bus fault), which is never decoded.
 func TestPredecodeStopsAtZeroAndJunk(t *testing.T) {
+	ws := words(insADDIU, insADDIU, insJR)
+	out := make([]Instruction, len(ws))
+	if n := PredecodeRun(out, func(i int) (uint32, bool) { return ws[i], i < 1 }); n != 1 {
+		t.Fatalf("run into a declined fetch = %d instructions, want 1", n)
+	}
 	zero := []uint32{MustEncode(insADDIU), 0, MustEncode(insADDIU)}
-	if run := PredecodeRun(zero, 0); len(run) != 1 {
+	if run := predecode(zero, 0); len(run) != 1 {
 		t.Fatalf("run into zero word = %d instructions, want 1", len(run))
 	}
 	junk := []uint32{MustEncode(insLW), 0xffffffff}
-	if run := PredecodeRun(junk, 0); len(run) != 1 {
+	if run := predecode(junk, 0); len(run) != 1 {
 		t.Fatalf("run into junk word = %d instructions, want 1", len(run))
 	}
-	if run := PredecodeRun(nil, 0); len(run) != 0 {
+	if run := predecode(nil, 0); len(run) != 0 {
 		t.Fatalf("empty input: run = %d instructions, want 0", len(run))
 	}
 }

@@ -325,6 +325,7 @@ func (k *Kernel) copyOut(c *cpu.CPU, addr uint32, data []byte, tainted bool) err
 	for i, b := range data {
 		bus.StoreByte(addr+uint32(i), b, t)
 	}
+	c.HostWrote(addr, len(data))
 	if t {
 		k.stats.TaintedBytes += uint64(len(data))
 	}

@@ -532,6 +532,45 @@ func TestSetArgsLayoutAndTaint(t *testing.T) {
 	}
 }
 
+// TestReadOntoOwnText: a guest that read()s over code it has already run
+// must execute the new bytes on both engines. The kernel's copy-out
+// evicts the overlapped predecoded text as a guest store would.
+func TestReadOntoOwnText(t *testing.T) {
+	patch, err := isa.Encode(isa.Instruction{Op: isa.OpADDIU, Rs: isa.RegZero, Rt: isa.RegA0, Imm: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const src = `
+	main:
+		li $s0, 2
+	patch:
+		addiu $a0, $zero, 1
+		addiu $s0, $s0, -1
+		beq $s0, $zero, done
+		li $a0, 0          # stdin
+		la $a1, patch
+		li $a2, 4
+		li $v0, 3          # read over patch
+		syscall
+		j patch
+	done:
+		li $v0, 1
+		syscall            # exit($a0)
+	`
+	for _, fast := range []bool{false, true} {
+		mc := boot(t, src)
+		mc.k.SetStdin([]byte{byte(patch), byte(patch >> 8), byte(patch >> 16), byte(patch >> 24)})
+		run := mc.c.Run
+		if fast {
+			run = mc.c.RunFast
+		}
+		var ee *cpu.ExitError
+		if err := run(1_000_000); !errors.As(err, &ee) || ee.Code != 42 {
+			t.Errorf("fast=%v: got %v, want exit status 42 (the instruction read over the text)", fast, err)
+		}
+	}
+}
+
 // TestHostileTransferLengths: a guest asking read/write for gigabytes
 // gets what exists (read) or one bounded transfer (write), the same on
 // both engines, without the host allocating anything near the asked
