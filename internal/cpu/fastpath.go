@@ -13,121 +13,105 @@ const maxBlockLen = 128
 
 // decIns is one fully predecoded instruction of a basic block: the decoded
 // form plus everything the dispatch loop would otherwise recompute per
-// execution — the taint-datapath kind, the source registers whose taint
-// decides the clean-operand short-circuit, and for ALU/compare ops the
-// operand routing (aluMode/imm/dst). srcA/srcB are RegZero when unused,
-// which is safe on both uses: $zero's taint is always None and its regHome
-// is never live, and the load-use hazard check in StepBlock's retire
+// execution — the taint-datapath kind, the dense op code, the source
+// registers whose taint decides the clean-operand short-circuit, and the
+// operand routing (dst/imm). srcA/srcB are RegZero when unused, which is
+// safe on every use: $zero reads as 0 with taint None and its regHome is
+// never live, and the load-use hazard check in StepBlock's retire
 // accounting compares them against a destination that is never $zero.
 type decIns struct {
-	in      isa.Instruction
-	kind    isa.Kind
-	srcA    isa.Register
-	srcB    isa.Register
-	dst     isa.Register // ALU/compare/load destination
-	aluMode uint8        // operand routing for execALUClean
-	fop     uint8        // dense fast-op code (fopXXX) for ALU/shift/mem dispatch
-	isLoad  bool
-	ctl     bool   // control transfer: the only ops whose nextPC needs the pc checks
-	static  uint8  // FactOperandsClean/FactAddrClean bits from SetStaticFacts
-	imm     uint32 // precomputed immediate operand (aluImm/aluLUI/mem offset)
+	in     isa.Instruction
+	kind   isa.Kind
+	srcA   isa.Register
+	srcB   isa.Register
+	dst    isa.Register // ALU/compare/shift/load destination
+	fop    uint8        // dense op code (denseOps) shared by both fast tiers
+	isLoad bool
+	ctl    bool   // control transfer: the only ops whose nextPC needs the pc checks
+	static uint8  // FactOperandsClean/FactAddrClean bits from SetStaticFacts
+	imm    uint32 // extended immediate, shift amount, lui constant or memory offset; 0 in register forms
 }
 
-// ALU operand-routing modes (mirroring execALU's selection).
+// Dense op codes: the one op-code space of both fast tiers. Predecode
+// assigns each instruction its code from denseOps; StepBlock's clean paths
+// and execMemFast dispatch on decIns.fop, and buildSuperblock copies it
+// into sbOp.code. ALU codes name the operand form (rr: two registers, ri:
+// register and immediate) so the superblock's switch can specialise each
+// form; the block path shares one case per operation, because predecode
+// routes an unused source to $zero and an unused immediate to 0, making
+// the second operand regs[srcB] | imm in both forms. The consecutive
+// values make every dispatch switch a jump table.
 const (
-	aluRR  = iota // a = regs[srcA], b = regs[srcB]
-	aluImm        // a = regs[srcA], b = imm (sign- or zero-extended at decode)
-	aluLUI        // result is imm, fully precomputed
+	sbNone = iota // no fast form: calls, register jumps, traps
+	sbNOP
+	sbLUI
+	sbADDrr
+	sbADDri
+	sbSUBrr
+	sbANDrr
+	sbANDri
+	sbORrr
+	sbORri
+	sbXORrr
+	sbXORri
+	sbNORrr
+	sbMULrr
+	sbDIVrr
+	sbDIVUrr
+	sbREMrr
+	sbREMUrr
+	sbSLLri
+	sbSLLrr
+	sbSRLri
+	sbSRLrr
+	sbSRAri
+	sbSRArr
+	sbSLTrr
+	sbSLTri
+	sbSLTUrr
+	sbSLTUri
+	sbLW
+	sbLB
+	sbLBU
+	sbLH
+	sbLHU
+	sbSW
+	sbSB
+	sbSH
+	sbBEQ
+	sbBNE
+	sbBLEZ
+	sbBGTZ
+	sbBLTZ
+	sbBGEZ
+	sbJMP
+	numSbOps
 )
 
-// Dense fast-op codes: the sparse opcode space collapsed to consecutive
-// values so the clean-ALU and flat-memory dispatch switches compile to jump
-// tables instead of the comparison chains aluValue/execMem pay per step.
-const (
-	fopNone = iota
-	fopADD
-	fopSUB
-	fopAND
-	fopOR
-	fopXOR
-	fopNOR
-	fopMUL
-	fopDIV
-	fopDIVU
-	fopREM
-	fopREMU
-	fopSLT
-	fopSLTU
-	fopSLL
-	fopSRL
-	fopSRA
-	fopLB
-	fopLBU
-	fopLH
-	fopLHU
-	fopLW
-	fopSB
-	fopSH
-	fopSW
-)
-
-// aluFop maps an ALU/compare opcode to its dense fast-op code; immediate and
-// register forms share one code because the operand routing (aluMode) already
-// distinguishes them.
-func aluFop(op isa.Opcode) uint8 {
-	switch op {
-	case isa.OpADD, isa.OpADDU, isa.OpADDI, isa.OpADDIU:
-		return fopADD
-	case isa.OpSUB, isa.OpSUBU:
-		return fopSUB
-	case isa.OpAND, isa.OpANDI:
-		return fopAND
-	case isa.OpOR, isa.OpORI:
-		return fopOR
-	case isa.OpXOR, isa.OpXORI:
-		return fopXOR
-	case isa.OpNOR:
-		return fopNOR
-	case isa.OpMUL:
-		return fopMUL
-	case isa.OpDIV:
-		return fopDIV
-	case isa.OpDIVU:
-		return fopDIVU
-	case isa.OpREM:
-		return fopREM
-	case isa.OpREMU:
-		return fopREMU
-	case isa.OpSLT, isa.OpSLTI:
-		return fopSLT
-	case isa.OpSLTU, isa.OpSLTIU:
-		return fopSLTU
-	}
-	return fopNone
+// denseOps is the op-code table: every isa.Opcode's dense code (sbNone
+// where neither fast tier specialises the op).
+var denseOps = [isa.NumOpcodes + 1]uint8{
+	isa.OpLUI: sbLUI,
+	isa.OpADD: sbADDrr, isa.OpADDU: sbADDrr, isa.OpADDI: sbADDri, isa.OpADDIU: sbADDri,
+	isa.OpSUB: sbSUBrr, isa.OpSUBU: sbSUBrr,
+	isa.OpAND: sbANDrr, isa.OpANDI: sbANDri,
+	isa.OpOR: sbORrr, isa.OpORI: sbORri,
+	isa.OpXOR: sbXORrr, isa.OpXORI: sbXORri,
+	isa.OpNOR: sbNORrr, isa.OpMUL: sbMULrr,
+	isa.OpDIV: sbDIVrr, isa.OpDIVU: sbDIVUrr, isa.OpREM: sbREMrr, isa.OpREMU: sbREMUrr,
+	isa.OpSLL: sbSLLri, isa.OpSLLV: sbSLLrr,
+	isa.OpSRL: sbSRLri, isa.OpSRLV: sbSRLrr,
+	isa.OpSRA: sbSRAri, isa.OpSRAV: sbSRArr,
+	isa.OpSLT: sbSLTrr, isa.OpSLTI: sbSLTri, isa.OpSLTU: sbSLTUrr, isa.OpSLTIU: sbSLTUri,
+	isa.OpLW: sbLW, isa.OpLB: sbLB, isa.OpLBU: sbLBU, isa.OpLH: sbLH, isa.OpLHU: sbLHU,
+	isa.OpSW: sbSW, isa.OpSB: sbSB, isa.OpSH: sbSH,
+	isa.OpBEQ: sbBEQ, isa.OpBNE: sbBNE, isa.OpBLEZ: sbBLEZ,
+	isa.OpBGTZ: sbBGTZ, isa.OpBLTZ: sbBLTZ, isa.OpBGEZ: sbBGEZ,
+	isa.OpJ: sbJMP, isa.OpNOP: sbNOP,
 }
 
-// memFop maps a load/store opcode to its dense fast-op code.
-func memFop(op isa.Opcode) uint8 {
-	switch op {
-	case isa.OpLB:
-		return fopLB
-	case isa.OpLBU:
-		return fopLBU
-	case isa.OpLH:
-		return fopLH
-	case isa.OpLHU:
-		return fopLHU
-	case isa.OpLW:
-		return fopLW
-	case isa.OpSB:
-		return fopSB
-	case isa.OpSH:
-		return fopSH
-	case isa.OpSW:
-		return fopSW
-	}
-	return fopNone
-}
+// sbWidth is each memory code's access width in bytes.
+var sbWidth = [numSbOps]uint32{sbLW: 4, sbLB: 1, sbLBU: 1, sbLH: 2, sbLHU: 2, sbSW: 4, sbSB: 1, sbSH: 2}
 
 // decBlock is one predecoded basic block, published in the block table
 // slot of its first instruction's word. A published block is immutable —
@@ -265,41 +249,27 @@ func (c *CPU) buildBlock(idx uint32) *decBlock {
 			kind:   in.Op.Kind(),
 			srcA:   srcA,
 			srcB:   srcB,
+			fop:    denseOps[in.Op],
 			isLoad: in.Op.IsLoad(),
 		}
-		switch d.kind {
-		case isa.KindALU, isa.KindCompare:
-			d.fop = aluFop(in.Op)
-			switch in.Op {
-			case isa.OpLUI:
-				d.aluMode, d.imm, d.dst = aluLUI, in.UImm()<<16, in.Rt
-			case isa.OpADDI, isa.OpADDIU, isa.OpSLTI:
-				d.aluMode, d.imm, d.dst = aluImm, uint32(in.Imm), in.Rt
-			case isa.OpSLTIU, isa.OpANDI, isa.OpORI, isa.OpXORI:
-				d.aluMode, d.imm, d.dst = aluImm, in.UImm(), in.Rt
-			default:
-				d.aluMode, d.dst = aluRR, in.Rd
-			}
-		case isa.KindShift:
-			d.dst = in.Rd
-			switch in.Op {
-			case isa.OpSLL:
-				d.aluMode, d.imm, d.fop = aluImm, uint32(in.Shamt), fopSLL
-			case isa.OpSRL:
-				d.aluMode, d.imm, d.fop = aluImm, uint32(in.Shamt), fopSRL
-			case isa.OpSRA:
-				d.aluMode, d.imm, d.fop = aluImm, uint32(in.Shamt), fopSRA
-			case isa.OpSLLV:
-				d.aluMode, d.fop = aluRR, fopSLL
-			case isa.OpSRLV:
-				d.aluMode, d.fop = aluRR, fopSRL
-			case isa.OpSRAV:
-				d.aluMode, d.fop = aluRR, fopSRA
-			}
-		case isa.KindLoad, isa.KindStore:
-			d.fop = memFop(in.Op)
+		// Operand routing, mirroring execALU/execShift/execMem's selection.
+		switch in.Op {
+		case isa.OpLUI:
+			d.imm = in.UImm() << 16
+		case isa.OpSLTIU, isa.OpANDI, isa.OpORI, isa.OpXORI:
+			d.imm = in.UImm()
+		case isa.OpSLL, isa.OpSRL, isa.OpSRA:
+			d.imm = uint32(in.Shamt)
+		case isa.OpADDI, isa.OpADDIU, isa.OpSLTI, isa.OpLB, isa.OpLBU, isa.OpLH,
+			isa.OpLHU, isa.OpLW, isa.OpSB, isa.OpSH, isa.OpSW:
 			d.imm = uint32(in.Imm)
-			d.dst = in.Rt
+		}
+		switch d.kind {
+		case isa.KindALU, isa.KindCompare, isa.KindShift, isa.KindLoad:
+			d.dst = in.Rd
+			if in.Op.Format() == isa.FormatI {
+				d.dst = in.Rt
+			}
 		case isa.KindBranch, isa.KindJump, isa.KindJumpReg:
 			d.ctl = true
 		}
@@ -322,35 +292,28 @@ func (c *CPU) buildBlock(idx uint32) *decBlock {
 // observable operand-untaint side effects (for compares the caller
 // additionally checks homeClean on both sources), so the Propagate call is
 // skipped entirely. Operand routing and the dense op code come precomputed
-// from the block; the consecutive fop cases compile to a jump table where
-// aluValue's sparse opcode switch is a comparison chain. Shifts run here
+// from the block: b = regs[srcB] | imm serves register and immediate forms
+// alike, and the consecutive codes compile to a jump table. Shifts run here
 // too (a is the datum, b the amount).
 func (c *CPU) execALUClean(d *decIns) {
-	a, b := c.regs[d.srcA], c.regs[d.srcB]
-	if d.aluMode != aluRR {
-		if d.aluMode == aluLUI { // the constant was fully evaluated at decode
-			c.SetReg(d.dst, d.imm, taint.None)
-			return
-		}
-		b = d.imm
-	}
+	a, b := c.regs[d.srcA], c.regs[d.srcB]|d.imm
 	var v uint32
 	switch d.fop {
-	case fopADD:
+	case sbLUI, sbADDrr, sbADDri: // lui is $zero + its pre-shifted constant
 		v = a + b
-	case fopSUB:
+	case sbSUBrr:
 		v = a - b
-	case fopAND:
+	case sbANDrr, sbANDri:
 		v = a & b
-	case fopOR:
+	case sbORrr, sbORri:
 		v = a | b
-	case fopXOR:
+	case sbXORrr, sbXORri:
 		v = a ^ b
-	case fopNOR:
+	case sbNORrr:
 		v = ^(a | b)
-	case fopMUL:
+	case sbMULrr:
 		v = uint32(int32(a) * int32(b))
-	case fopDIV:
+	case sbDIVrr:
 		switch {
 		case b == 0:
 			v = 0
@@ -359,31 +322,31 @@ func (c *CPU) execALUClean(d *decIns) {
 		default:
 			v = uint32(int32(a) / int32(b))
 		}
-	case fopDIVU:
+	case sbDIVUrr:
 		if b != 0 {
 			v = a / b
 		}
-	case fopREM:
+	case sbREMrr:
 		if b != 0 && !(int32(a) == -1<<31 && int32(b) == -1) {
 			v = uint32(int32(a) % int32(b))
 		}
-	case fopREMU:
+	case sbREMUrr:
 		if b != 0 {
 			v = a % b
 		}
-	case fopSLT:
+	case sbSLTrr, sbSLTri:
 		if int32(a) < int32(b) {
 			v = 1
 		}
-	case fopSLTU:
+	case sbSLTUrr, sbSLTUri:
 		if a < b {
 			v = 1
 		}
-	case fopSLL:
+	case sbSLLrr, sbSLLri:
 		v = a << (b & 31)
-	case fopSRL:
+	case sbSRLrr, sbSRLri:
 		v = a >> (b & 31)
-	case fopSRA:
+	case sbSRArr, sbSRAri:
 		v = uint32(int32(a) >> (b & 31))
 	}
 	c.SetReg(d.dst, v, taint.None)
@@ -407,7 +370,7 @@ func (c *CPU) homeClean(r isa.Register) bool {
 // execMemFast is execMem for the common fast-path case: an untainted address
 // register on flat memory. No dereference detector can fire on an untainted
 // address vector (CheckMemAccess is vacuous there under every policy), the
-// bus devirtualizes to *mem.Memory, and the opcode dispatch, offset, and
+// bus devirtualizes to *mem.Memory, and the op code, offset, and
 // destination come precomputed from the block. pc is the instruction's own
 // address, written back only on the paths that can observe it (faults and
 // watch alerts); the caller owns c.pc otherwise. instrs is the exact
@@ -419,130 +382,88 @@ func (c *CPU) execMemFast(d *decIns, pc uint32, instrs uint64) error {
 		c.pc = pc
 		return c.fault("segmentation fault: null-page access")
 	}
-	m := c.flatMem
-	switch d.fop {
-	case fopLW:
-		if addr&3 != 0 {
+	w := sbWidth[d.fop]
+	if d.isLoad {
+		if addr&(w-1) != 0 {
 			c.pc = pc
-			return c.fault((&mem.AlignmentError{Addr: addr, Width: 4}).Error())
+			return c.fault((&mem.AlignmentError{Addr: addr, Width: int(w)}).Error())
 		}
-		w, wv := m.WordAt(addr)
-		c.SetReg(d.dst, w, wv)
-		if wv != taint.None && c.prov != nil {
-			c.provLoad(d.dst, addr, pc, instrs)
-		}
-		c.setHome(d.dst, addr, 4)
-		c.stats.Loads++
-	case fopSW:
-		vec := c.regTaint[d.srcB]
-		if vec != taint.None && len(c.watches) != 0 {
-			c.pc = pc
-			if err := c.watchedStoreTaint(isa.OpSW, addr, vec); err != nil {
-				return err
-			}
-		}
-		if addr&3 != 0 {
-			c.pc = pc
-			return c.fault((&mem.AlignmentError{Addr: addr, Width: 4}).Error())
-		}
-		m.PutWord(addr, c.regs[d.srcB], vec)
-		if vec != taint.None && c.prov != nil {
-			c.provStore(addr, 4, d.srcB)
-		}
-		if c.homesMask != 0 {
-			c.invalidateHomes(addr, 4)
-		}
-		if addr < c.textEnd {
-			c.invalidateText(addr, 4)
-		}
-		c.stats.Stores++
-	case fopLB, fopLBU:
-		b, tt := m.LoadByte(addr)
-		var v uint32
-		var vec taint.Vec
-		if d.fop == fopLB {
-			v = uint32(int32(int8(b)))
-			if tt {
-				vec = taint.Word // sign bytes derive from the tainted byte
-			}
-		} else {
-			v = uint32(b)
-			if tt {
-				vec = taint.ForWidth(1)
-			}
-		}
+		v, vec := loadFlat(c.flatMem, d.fop, addr)
 		c.SetReg(d.dst, v, vec)
 		if vec != taint.None && c.prov != nil {
 			c.provLoad(d.dst, addr, pc, instrs)
 		}
-		c.setHome(d.dst, addr, 1)
+		c.setHome(d.dst, addr, int(w))
 		c.stats.Loads++
-	case fopLH, fopLHU:
-		if addr&1 != 0 {
-			c.pc = pc
-			return c.fault((&mem.AlignmentError{Addr: addr, Width: 2}).Error())
-		}
-		h, hv := m.HalfAt(addr)
-		var v uint32
-		vec := hv
-		if d.fop == fopLH {
-			v = uint32(int32(int16(h)))
-			if hv.Byte(1) {
-				vec = taint.Word // sign bytes derive from the top loaded byte
-			}
-		} else {
-			v = uint32(h)
-		}
-		c.SetReg(d.dst, v, vec)
-		if vec != taint.None && c.prov != nil {
-			c.provLoad(d.dst, addr, pc, instrs)
-		}
-		c.setHome(d.dst, addr, 2)
-		c.stats.Loads++
-	case fopSB:
-		vec := c.regTaint[d.srcB]
-		if vec != taint.None && len(c.watches) != 0 {
-			c.pc = pc
-			if err := c.watchedStoreTaint(isa.OpSB, addr, vec); err != nil {
-				return err
-			}
-		}
-		m.StoreByte(addr, byte(c.regs[d.srcB]), vec.Byte(0))
-		if vec.Byte(0) && c.prov != nil {
-			c.provStore(addr, 1, d.srcB)
-		}
-		if c.homesMask != 0 {
-			c.invalidateHomes(addr, 1)
-		}
-		if addr < c.textEnd {
-			c.invalidateText(addr, 1)
-		}
-		c.stats.Stores++
-	case fopSH:
-		vec := c.regTaint[d.srcB]
-		if vec != taint.None && len(c.watches) != 0 {
-			c.pc = pc
-			if err := c.watchedStoreTaint(isa.OpSH, addr, vec); err != nil {
-				return err
-			}
-		}
-		if addr&1 != 0 {
-			c.pc = pc
-			return c.fault((&mem.AlignmentError{Addr: addr, Width: 2}).Error())
-		}
-		m.PutHalf(addr, uint16(c.regs[d.srcB]), vec)
-		if vec != taint.None && c.prov != nil {
-			c.provStore(addr, 2, d.srcB)
-		}
-		if c.homesMask != 0 {
-			c.invalidateHomes(addr, 2)
-		}
-		if addr < c.textEnd {
-			c.invalidateText(addr, 2)
-		}
-		c.stats.Stores++
+		return nil
 	}
+	vec := c.regTaint[d.srcB]
+	if vec != taint.None && len(c.watches) != 0 {
+		c.pc = pc
+		if err := c.watchedStoreTaint(d.in.Op, addr, vec); err != nil {
+			return err
+		}
+	}
+	if addr&(w-1) != 0 {
+		c.pc = pc
+		return c.fault((&mem.AlignmentError{Addr: addr, Width: int(w)}).Error())
+	}
+	if w == 1 {
+		vec &= taint.ForWidth(1) // a byte store carries lane 0 only, provenance included
+	}
+	storeFlat(c.flatMem, w, addr, c.regs[d.srcB], vec)
+	if vec != taint.None && c.prov != nil {
+		c.provStore(addr, int(w), d.srcB)
+	}
+	if c.homesMask != 0 {
+		c.invalidateHomes(addr, int(w))
+	}
+	if addr < c.textEnd {
+		c.invalidateText(addr, int(w))
+	}
+	c.stats.Stores++
 	return nil
+}
+
+// loadFlat is the fast tiers' load rule (execMem holds the reference's):
+// the value at an aligned addr, zero- or sign-extended to a word, with its
+// taint. A signed load whose top loaded byte is tainted taints the whole
+// word, because the sign bytes derive from that byte.
+func loadFlat(m *mem.Memory, code uint8, addr uint32) (v uint32, vec taint.Vec) {
+	w := sbWidth[code]
+	switch w {
+	case 1:
+		b, tt := m.LoadByte(addr)
+		if v = uint32(b); tt {
+			vec = taint.ForWidth(1)
+		}
+	case 2:
+		h, hv := m.HalfAt(addr)
+		v, vec = uint32(h), hv
+	default:
+		return m.WordAt(addr)
+	}
+	if code == sbLB || code == sbLH {
+		sh := 32 - 8*w
+		v = uint32(int32(v<<sh) >> sh)
+		if vec.Byte(int(w) - 1) {
+			vec = taint.Word
+		}
+	}
+	return v, vec
+}
+
+// storeFlat writes the low w bytes of v, with vec's low w taint lanes, at
+// an aligned addr.
+func storeFlat(m *mem.Memory, w, addr, v uint32, vec taint.Vec) {
+	switch w {
+	case 1:
+		m.StoreByte(addr, byte(v), vec.Byte(0))
+	case 2:
+		m.PutHalf(addr, uint16(v), vec)
+	default:
+		m.PutWord(addr, v, vec)
+	}
 }
 
 // StepBlock executes one predecoded basic block — or the prefix allowed by
@@ -709,12 +630,8 @@ chain:
 					c.regTaint[d.srcA]|c.regTaint[d.srcB] == taint.None {
 					// The add family (address arithmetic, loop counters)
 					// dominates; run it without the execALUClean call.
-					if d.fop == fopADD {
-						b2 := c.regs[d.srcB]
-						if d.aluMode != aluRR {
-							b2 = d.imm
-						}
-						c.SetReg(d.dst, c.regs[d.srcA]+b2, taint.None)
+					if d.fop == sbADDri || d.fop == sbADDrr {
+						c.SetReg(d.dst, c.regs[d.srcA]+(c.regs[d.srcB]|d.imm), taint.None)
 					} else {
 						c.execALUClean(d)
 					}
@@ -771,8 +688,7 @@ chain:
 				// pointer-taintedness probe is vacuous without reading the
 				// dynamic taint state.
 				spMem := d.static & FactAddrClean
-				if c.flatMem != nil && d.fop != fopNone &&
-					(spMem != 0 || c.regTaint[d.srcA] == taint.None) {
+				if c.flatMem != nil && (spMem != 0 || c.regTaint[d.srcA] == taint.None) {
 					staticN += uint64(spMem) >> 1 // FactAddrClean is bit 1
 					// No detector or cache penalty applies; skip the bus
 					// interface and the policy probe entirely. Word accesses
@@ -780,7 +696,7 @@ chain:
 					// additionally skip the execMemFast call; every other
 					// case (other widths, fault paths, tainted store values
 					// that may hit a watch) takes it.
-					if addr := c.regs[d.srcA] + d.imm; d.fop == fopLW &&
+					if addr := c.regs[d.srcA] + d.imm; d.fop == sbLW &&
 						addr >= nullPage && addr&3 == 0 {
 						w, wv := c.flatMem.WordAt(addr)
 						c.SetReg(d.dst, w, wv)
@@ -793,7 +709,7 @@ chain:
 						c.setHome(d.dst, addr, 4)
 						c.stats.Loads++
 						prevDst = d.dst
-					} else if d.fop == fopSW && addr >= nullPage && addr&3 == 0 &&
+					} else if d.fop == sbSW && addr >= nullPage && addr&3 == 0 &&
 						c.regTaint[d.srcB] == taint.None {
 						c.flatMem.PutWord(addr, c.regs[d.srcB], taint.None)
 						if c.homesMask != 0 {
@@ -857,27 +773,30 @@ chain:
 				}
 				c.pipe.Jump()
 			case isa.KindJumpReg:
-				// FactAddrClean on a jr proves the target register untainted:
-				// the control-hijack detector cannot fire, so skip it.
+				// FactAddrClean on a jr proves the target register untainted,
+				// and on an untainted target the control-hijack detector
+				// (CheckJumpReg) is vacuous under every policy: skip it.
 				if d.static&FactAddrClean != 0 {
 					staticN++
-				} else if tv := c.regTaint[d.in.Rs]; tv != taint.None && c.events != nil {
-					// Sync the lazy state so the event's retired count is
-					// exact, then re-run the detector on the reference path
-					// (tainted jr is a once-per-run event, usually an alert).
+				} else if tv := c.regTaint[d.in.Rs]; tv != taint.None {
+					// Sync the lazy state so the event's retired count and
+					// the alert are exact, then run the detector (tainted jr
+					// is a once-per-run event, usually an alert).
 					c.pc = pc
 					c.flushRetired(done, cleanN, staticN)
 					c.flushPipe(cyc, stalls, prevDst)
 					done, cleanN, staticN, cyc, stalls = 0, 0, 0, 0, 0
-					c.events.Emit(Event{
-						Kind:   EvDerefCheck,
-						Instrs: c.stats.Instructions,
-						PC:     pc,
-						Reg:    d.in.Rs,
-						Value:  c.regs[d.in.Rs],
-						Taint:  tv,
-						Label:  c.RegProvLabel(d.in.Rs),
-					})
+					if c.events != nil {
+						c.events.Emit(Event{
+							Kind:   EvDerefCheck,
+							Instrs: c.stats.Instructions,
+							PC:     pc,
+							Reg:    d.in.Rs,
+							Value:  c.regs[d.in.Rs],
+							Taint:  tv,
+							Label:  c.RegProvLabel(d.in.Rs),
+						})
+					}
 					if kind, bad := c.policy.CheckJumpReg(tv); bad {
 						c.pipe.Retire(d.in)
 						c.stats.Instructions++
@@ -887,17 +806,6 @@ chain:
 						}
 						return c.alert(kind, StageIDEX, d.in, d.in.Rs)
 					}
-				} else if kind, bad := c.policy.CheckJumpReg(c.regTaint[d.in.Rs]); bad {
-					c.pc = pc
-					c.flushPipe(cyc, stalls, prevDst)
-					c.pipe.Retire(d.in)
-					c.flushRetired(done, cleanN, staticN)
-					c.stats.Instructions++
-					c.stats.TaintedSteps++
-					if c.profile != nil {
-						c.profile[d.in.Op]++
-					}
-					return c.alert(kind, StageIDEX, d.in, d.in.Rs)
 				}
 				target := c.regs[d.in.Rs]
 				if d.in.Op == isa.OpJALR {

@@ -3,8 +3,9 @@
 // reference Step loop and the RunFast block stepper from an identical
 // initial state — part clean, part tainted — and the final machine states
 // must match bit for bit. The seed corpus is the text of the three §5.1.1
-// synthetic attack programs plus a handwritten mix of loads, stores,
-// branches, and tainted arithmetic.
+// synthetic attack programs, a handwritten mix of loads, stores,
+// branches, and tainted arithmetic, and OpcodeLoop, which covers every
+// dense op code of the fast tiers.
 package cpu_test
 
 import (
@@ -70,10 +71,9 @@ func bootFuzz(code []byte) (*cpu.CPU, *mem.Memory) {
 	return c, m
 }
 
-// handcraftedSeed assembles a straight-line program exercising tainted
-// loads, tainted arithmetic, stores, compares, and a clean exit.
-func handcraftedSeed(f *testing.F) []byte {
-	im, err := asm.AssembleString(`
+// handcraftedSeed is a straight-line program exercising tainted loads,
+// tainted arithmetic, stores, compares, and a clean exit.
+const handcraftedSeed = `
 	main:
 		lw $t1, 64($a0)
 		add $t2, $t1, $t0
@@ -87,7 +87,11 @@ func handcraftedSeed(f *testing.F) []byte {
 		li $v0, 1
 		li $a0, 0
 		syscall
-	`)
+	`
+
+// seedText assembles src and returns its text segment.
+func seedText(f *testing.F, src string) []byte {
+	im, err := asm.AssembleString(src)
 	if err != nil {
 		f.Fatalf("assemble seed: %v", err)
 	}
@@ -108,7 +112,8 @@ func FuzzStepEquivalence(f *testing.F) {
 		}
 		f.Add(im.Segments[0].Data)
 	}
-	f.Add(handcraftedSeed(f))
+	f.Add(seedText(f, handcraftedSeed))
+	f.Add(seedText(f, cpu.OpcodeLoop))
 
 	const budget = 2000
 	f.Fuzz(func(t *testing.T, code []byte) {

@@ -81,10 +81,10 @@ type Stats struct {
 	//                  retires the load, then side-exits to track it);
 	//   Probe        — a compare/branch memory-home probe found a dirty
 	//                  home, or a probe registration invalidated the trace;
-	//   SelfModify   — the store range guard (addr below the text window)
-	//                  or a text-page invalidation dropped the trace;
-	//   MemFault     — misaligned/null address caught by the trace's
-	//                  address guard before the access;
+	//   SelfModify   — a store's range guard found its address inside
+	//                  text, or a text-page invalidation dropped the trace;
+	//   MemFault     — misaligned/null load or store address caught by
+	//                  the trace's address guard before the access;
 	//   InjectAt     — an armed fault injection flushed compiled state.
 	SbDeoptTaintedEntry uint64
 	SbDeoptLoadedTaint  uint64

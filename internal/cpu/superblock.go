@@ -54,54 +54,6 @@ const (
 	sbInvalInject
 )
 
-// Specialized op codes. Each ALU form gets its own code so the exec loop
-// is a single dense switch (a jump table), not a dispatch through the
-// shared decIns datapath switch plus a second fop switch.
-const (
-	sbNOP = iota
-	sbLUI
-	sbADDrr
-	sbADDri
-	sbSUBrr
-	sbANDrr
-	sbANDri
-	sbORrr
-	sbORri
-	sbXORrr
-	sbXORri
-	sbNORrr
-	sbMULrr
-	sbDIVrr
-	sbDIVUrr
-	sbREMrr
-	sbREMUrr
-	sbSLLri
-	sbSLLrr
-	sbSRLri
-	sbSRLrr
-	sbSRAri
-	sbSRArr
-	sbSLTrr
-	sbSLTri
-	sbSLTUrr
-	sbSLTUri
-	sbLW
-	sbLB
-	sbLBU
-	sbLH
-	sbLHU
-	sbSW
-	sbSB
-	sbSH
-	sbBEQ
-	sbBNE
-	sbBLEZ
-	sbBGTZ
-	sbBLTZ
-	sbBGEZ
-	sbJMP
-)
-
 // sbOp flags.
 const (
 	// sbfExpTaken: the trace continues on the taken direction of this
@@ -112,13 +64,14 @@ const (
 	sbfLoop
 )
 
-// sbOp is one specialized instruction of a superblock.
+// sbOp is one specialized instruction of a superblock. code, registers and
+// imm are its block instruction's predecoded decIns fields, unchanged.
 type sbOp struct {
-	code  uint8
+	code  uint8 // dense op code (denseOps)
 	flags uint8
 	dst   uint8
-	a     uint8 // first operand register (addr base for memory ops)
-	b     uint8 // second operand register (store value, branch Rt)
+	a     uint8  // first operand register (addr base for memory ops)
+	b     uint8  // second operand register (store value, branch Rt)
 	exit  uint16 // pre-op deopt exit record
 	exitT uint16 // post-op side exit record (tainted load, branch other way)
 	imm   uint32
@@ -233,119 +186,6 @@ func (c *CPU) sbHomesDirty(mask uint32) bool {
 	return false
 }
 
-// sbALUCode maps a predecoded ALU/shift/compare instruction to its
-// specialized code.
-func sbALUCode(d *decIns) (uint8, bool) {
-	if d.aluMode == aluLUI {
-		return sbLUI, true
-	}
-	ri := d.aluMode == aluImm
-	switch d.fop {
-	case fopADD:
-		if ri {
-			return sbADDri, true
-		}
-		return sbADDrr, true
-	case fopSUB:
-		return sbSUBrr, !ri
-	case fopAND:
-		if ri {
-			return sbANDri, true
-		}
-		return sbANDrr, true
-	case fopOR:
-		if ri {
-			return sbORri, true
-		}
-		return sbORrr, true
-	case fopXOR:
-		if ri {
-			return sbXORri, true
-		}
-		return sbXORrr, true
-	case fopNOR:
-		return sbNORrr, !ri
-	case fopMUL:
-		return sbMULrr, !ri
-	case fopDIV:
-		return sbDIVrr, !ri
-	case fopDIVU:
-		return sbDIVUrr, !ri
-	case fopREM:
-		return sbREMrr, !ri
-	case fopREMU:
-		return sbREMUrr, !ri
-	case fopSLT:
-		if ri {
-			return sbSLTri, true
-		}
-		return sbSLTrr, true
-	case fopSLTU:
-		if ri {
-			return sbSLTUri, true
-		}
-		return sbSLTUrr, true
-	case fopSLL:
-		if ri {
-			return sbSLLri, true
-		}
-		return sbSLLrr, true
-	case fopSRL:
-		if ri {
-			return sbSRLri, true
-		}
-		return sbSRLrr, true
-	case fopSRA:
-		if ri {
-			return sbSRAri, true
-		}
-		return sbSRArr, true
-	}
-	return 0, false
-}
-
-// sbMemCode maps a predecoded load/store to its specialized code.
-func sbMemCode(d *decIns) (uint8, bool) {
-	switch d.fop {
-	case fopLW:
-		return sbLW, true
-	case fopLB:
-		return sbLB, true
-	case fopLBU:
-		return sbLBU, true
-	case fopLH:
-		return sbLH, true
-	case fopLHU:
-		return sbLHU, true
-	case fopSW:
-		return sbSW, true
-	case fopSB:
-		return sbSB, true
-	case fopSH:
-		return sbSH, true
-	}
-	return 0, false
-}
-
-// sbBranchCode maps a branch opcode to its specialized code.
-func sbBranchCode(op isa.Opcode) (uint8, bool) {
-	switch op {
-	case isa.OpBEQ:
-		return sbBEQ, true
-	case isa.OpBNE:
-		return sbBNE, true
-	case isa.OpBLEZ:
-		return sbBLEZ, true
-	case isa.OpBGTZ:
-		return sbBGTZ, true
-	case isa.OpBLTZ:
-		return sbBLTZ, true
-	case isa.OpBGEZ:
-		return sbBGEZ, true
-	}
-	return 0, false
-}
-
 // buildSuperblock compiles the trace entered at block index idx, or
 // returns sbUnfusable. The trace follows fall-through edges, expected
 // branch directions (a conditional whose target is the entry pc is the
@@ -403,8 +243,8 @@ func (c *CPU) buildSuperblock(idx uint32) *superblock {
 		next := cur + uint32(len(b.ins))
 		for i := range b.ins {
 			d := &b.ins[i]
-			if len(sb.ops) >= sbMaxOps {
-				return sbUnfusable
+			if len(sb.ops) >= sbMaxOps || d.fop == sbNone {
+				return sbUnfusable // too long, or a call, register jump or trap
 			}
 			// The retire-stage hazard check reads the pipeline's loadDst
 			// after the current instruction's memory effect has updated
@@ -433,14 +273,12 @@ func (c *CPU) buildSuperblock(idx uint32) *superblock {
 					sb.hz0a, sb.hz0b = uint8(d.srcA), uint8(d.srcB)
 				}
 			}
-			op := sbOp{pc: pc, dst: uint8(d.dst), a: uint8(d.srcA), b: uint8(d.srcB), imm: d.imm}
+			op := sbOp{code: d.fop, pc: pc, dst: uint8(d.dst), a: uint8(d.srcA), b: uint8(d.srcB), imm: d.imm}
 			pre := run
 			pre.pc = pc
 			pre.loadDst = lastLoad
-			ok := true
 			switch d.kind {
 			case isa.KindALU, isa.KindShift:
-				op.code, ok = sbALUCode(d)
 				read(d.srcA)
 				read(d.srcB)
 				run.done++
@@ -451,7 +289,6 @@ func (c *CPU) buildSuperblock(idx uint32) *superblock {
 				wrote(d.dst)
 				lastLoad = isa.RegZero
 			case isa.KindCompare:
-				op.code, ok = sbALUCode(d)
 				read(d.srcA)
 				read(d.srcB)
 				op.homes = (uint32(1)<<d.srcA | uint32(1)<<d.srcB) &^ 1
@@ -463,7 +300,6 @@ func (c *CPU) buildSuperblock(idx uint32) *superblock {
 				wrote(d.dst)
 				lastLoad = isa.RegZero
 			case isa.KindLoad:
-				op.code, ok = sbMemCode(d)
 				read(d.srcA)
 				op.exit = addExit(pre)
 				st := uint64(d.static&FactAddrClean) >> 1
@@ -484,7 +320,6 @@ func (c *CPU) buildSuperblock(idx uint32) *superblock {
 				wrote(d.dst)
 				lastLoad = d.dst
 			case isa.KindStore:
-				op.code, ok = sbMemCode(d)
 				read(d.srcA)
 				read(d.srcB)
 				op.exit = addExit(pre)
@@ -495,8 +330,6 @@ func (c *CPU) buildSuperblock(idx uint32) *superblock {
 				run.stalls += hz
 				lastLoad = isa.RegZero
 			case isa.KindBranch:
-				op.code, ok = sbBranchCode(d.in.Op)
-				op.a, op.b = uint8(d.in.Rs), uint8(d.in.Rt)
 				if sb.branchGuard {
 					read(d.srcA)
 					read(d.srcB)
@@ -531,13 +364,9 @@ func (c *CPU) buildSuperblock(idx uint32) *superblock {
 					run.cyc += 1 + hz
 				}
 				lastLoad = isa.RegZero
-			case isa.KindJump:
-				if d.in.Op != isa.OpJ {
-					ok = false
-					break
-				}
+			case isa.KindJump: // j: jal has no fast form
 				tgt := isa.JumpTarget(pc, d.in)
-				op.code, op.tgt = sbJMP, tgt
+				op.tgt = tgt
 				run.done++
 				run.cyc += 1 + hz + 2
 				run.flush += 2
@@ -551,22 +380,12 @@ func (c *CPU) buildSuperblock(idx uint32) *superblock {
 					}
 					next = (tgt - c.textBase) >> 2
 				}
-			case isa.KindSystem:
-				if d.in.Op != isa.OpNOP {
-					ok = false
-					break
-				}
-				op.code = sbNOP
+			case isa.KindSystem: // nop: syscall and break have no fast form
 				run.done++
 				run.clean++
 				run.cyc += 1 + hz
 				run.stalls += hz
 				lastLoad = isa.RegZero
-			default:
-				ok = false // calls, register jumps: trace ends unfused
-			}
-			if !ok {
-				return sbUnfusable
 			}
 			sb.ops = append(sb.ops, op)
 			pc += 4
@@ -614,6 +433,19 @@ func (c *CPU) sbFinish(sb *superblock, iters uint64, e *sbExit, entryExtra uint6
 	c.pipe.flushCycles += iters*it.flush + e.flush
 	c.pipe.loadDst = e.loadDst
 	return e.pc, true
+}
+
+// sbStoreDeopt books a store's guard exit under its cause: an address the
+// store itself would fault on (null page, misaligned) is a MemFault, one
+// inside the text window a SelfModify. The hot path's single guard compare
+// folds the two; only the exit tells them apart.
+func (c *CPU) sbStoreDeopt(addr, w uint32) {
+	c.stats.SuperblockDeopts++
+	if addr < nullPage || addr&(w-1) != 0 {
+		c.stats.SbDeoptMemFault++
+	} else {
+		c.stats.SbDeoptSelfModify++
+	}
 }
 
 // runSuperblock executes the trace until a side exit, a deopt, or the
@@ -759,27 +591,15 @@ func (c *CPU) runSuperblock(sb *superblock, max uint64) (uint32, bool) {
 			}
 			c.SetReg(rd, w, taint.None)
 			c.setHome(rd, addr, 4)
-		case sbLB, sbLBU:
+		case sbLB, sbLBU, sbLH, sbLHU:
 			addr := c.regs[op.a] + op.imm
-			if addr < nullPage {
+			w := sbWidth[op.code]
+			if addr < nullPage || addr&(w-1) != 0 {
 				c.stats.SuperblockDeopts++
 				c.stats.SbDeoptMemFault++
 				return c.sbFinish(sb, iters, &sb.exits[op.exit], entryExtra)
 			}
-			bb, tt := m.LoadByte(addr)
-			var v uint32
-			var vec taint.Vec
-			if op.code == sbLB {
-				v = uint32(int32(int8(bb)))
-				if tt {
-					vec = taint.Word
-				}
-			} else {
-				v = uint32(bb)
-				if tt {
-					vec = taint.ForWidth(1)
-				}
-			}
+			v, vec := loadFlat(m, op.code, addr)
 			rd := isa.Register(op.dst)
 			c.SetReg(rd, v, vec)
 			if vec != taint.None {
@@ -789,76 +609,33 @@ func (c *CPU) runSuperblock(sb *superblock, max uint64) (uint32, bool) {
 				if c.prov != nil {
 					c.provLoad(rd, addr, op.pc, c.stats.Instructions+iters*sb.iter.done+e.done-1)
 				}
-				c.setHome(rd, addr, 1)
+				c.setHome(rd, addr, int(w))
 				return c.sbFinish(sb, iters, e, entryExtra)
 			}
-			c.setHome(rd, addr, 1)
-		case sbLH, sbLHU:
-			addr := c.regs[op.a] + op.imm
-			if addr < nullPage || addr&1 != 0 {
-				c.stats.SuperblockDeopts++
-				c.stats.SbDeoptMemFault++
-				return c.sbFinish(sb, iters, &sb.exits[op.exit], entryExtra)
-			}
-			h, hv := m.HalfAt(addr)
-			var v uint32
-			vec := hv
-			if op.code == sbLH {
-				v = uint32(int32(int16(h)))
-				if hv.Byte(1) {
-					vec = taint.Word
-				}
-			} else {
-				v = uint32(h)
-			}
-			rd := isa.Register(op.dst)
-			c.SetReg(rd, v, vec)
-			if vec != taint.None {
-				c.stats.SuperblockDeopts++
-				c.stats.SbDeoptLoadedTaint++
-				e := &sb.exits[op.exitT]
-				if c.prov != nil {
-					c.provLoad(rd, addr, op.pc, c.stats.Instructions+iters*sb.iter.done+e.done-1)
-				}
-				c.setHome(rd, addr, 2)
-				return c.sbFinish(sb, iters, e, entryExtra)
-			}
-			c.setHome(rd, addr, 2)
+			c.setHome(rd, addr, int(w))
 		case sbSW:
 			// addr < textEnd folds the null-page fault, the
 			// self-modifying-text eviction, and text stores into one
 			// deopt compare (text sits directly above the null page).
 			addr := c.regs[op.a] + op.imm
 			if addr&3 != 0 || addr < c.textEnd {
-				c.stats.SuperblockDeopts++
-				c.stats.SbDeoptSelfModify++
+				c.sbStoreDeopt(addr, 4)
 				return c.sbFinish(sb, iters, &sb.exits[op.exit], entryExtra)
 			}
 			m.PutWord(addr, c.regs[op.b], taint.None)
 			if c.homesMask != 0 {
 				c.invalidateHomes(addr, 4)
 			}
-		case sbSB:
+		case sbSB, sbSH:
 			addr := c.regs[op.a] + op.imm
-			if addr < c.textEnd {
-				c.stats.SuperblockDeopts++
-				c.stats.SbDeoptSelfModify++
+			w := sbWidth[op.code]
+			if addr&(w-1) != 0 || addr < c.textEnd {
+				c.sbStoreDeopt(addr, w)
 				return c.sbFinish(sb, iters, &sb.exits[op.exit], entryExtra)
 			}
-			m.StoreByte(addr, byte(c.regs[op.b]), false)
+			storeFlat(m, w, addr, c.regs[op.b], taint.None)
 			if c.homesMask != 0 {
-				c.invalidateHomes(addr, 1)
-			}
-		case sbSH:
-			addr := c.regs[op.a] + op.imm
-			if addr&1 != 0 || addr < c.textEnd {
-				c.stats.SuperblockDeopts++
-				c.stats.SbDeoptSelfModify++
-				return c.sbFinish(sb, iters, &sb.exits[op.exit], entryExtra)
-			}
-			m.PutHalf(addr, uint16(c.regs[op.b]), taint.None)
-			if c.homesMask != 0 {
-				c.invalidateHomes(addr, 2)
+				c.invalidateHomes(addr, int(w))
 			}
 		case sbBEQ, sbBNE, sbBLEZ, sbBGTZ, sbBLTZ, sbBGEZ:
 			if sb.branchGuard && op.homes&c.homesMask != 0 && c.sbHomesDirty(op.homes) {

@@ -9,6 +9,7 @@ package cpu_test
 import (
 	"testing"
 
+	"repro/internal/asm"
 	"repro/internal/core"
 )
 
@@ -90,4 +91,50 @@ func TestSuperblockCDifferentialTaintedLoad(t *testing.T) {
 			s.SuperblockDeopts, s.DeoptReasons())
 	}
 	checkDeoptBreakdown(t, "fast", s)
+}
+
+// sbMisalignedStoreSrc is a hot loop whose sw turns misaligned on its
+// 201st pass, long after the loop fused: $t1 = $a0 + 2 once $s0 reaches
+// 200. Both engines raise the same alignment fault there.
+const sbMisalignedStoreSrc = `
+main:
+	li    $s0, 0
+	li    $s1, 300
+loop:
+	sltiu $t0, $s0, 200
+	xori  $t0, $t0, 1
+	sll   $t0, $t0, 1
+	addu  $t1, $a0, $t0
+	sw    $s0, 0($t1)
+	addiu $s0, $s0, 1
+	bne   $s0, $s1, loop
+`
+
+// TestSuperblockStoreFaultDeoptReason pins the attribution of a store's
+// guard exit: a misaligned store is a MemFault deopt (as for loads), not
+// a SelfModify one, although the trace folds both into one guard.
+func TestSuperblockStoreFaultDeoptReason(t *testing.T) {
+	im, err := asm.AssembleString(sbMisalignedStoreSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, _ := bootFuzz(im.Segments[0].Data)
+	refErr := ref.Run(100_000)
+	fast, _ := bootFuzz(im.Segments[0].Data)
+	fastErr := fast.RunFast(100_000)
+	if refErr == nil || errString(fastErr) != errString(refErr) {
+		t.Fatalf("run error: fast %q, reference %q; want the same alignment fault", errString(fastErr), errString(refErr))
+	}
+	rs, fs := ref.Stats(), fast.Stats()
+	if ref.PC() != fast.PC() || rs.Instructions != fs.Instructions || rs.Stores != fs.Stores {
+		t.Errorf("state differs: pc %#x/%#x, stats\nreference %+v\nfast      %+v", ref.PC(), fast.PC(), rs, fs)
+	}
+	if fs.SuperblockInstrs == 0 {
+		t.Fatal("superblock tier never engaged")
+	}
+	if fs.SbDeoptMemFault != 1 || fs.SbDeoptSelfModify != 0 {
+		t.Errorf("deopts: mem-fault %d, self-modify %d; want 1, 0 (breakdown %+v)",
+			fs.SbDeoptMemFault, fs.SbDeoptSelfModify, fs.DeoptReasons())
+	}
+	checkDeoptBreakdown(t, "fast", fs)
 }
