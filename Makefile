@@ -35,9 +35,10 @@ race:
 # up under races and ordering. internal/cpu rides along for the superblock
 # fork-isolation and invalidation tests; internal/fuzz prepares targets
 # while sessions run, and ptattack/pttrace drive the boot options end to
-# end.
+# end. internal/core holds the one machine assembler, snapshot/fork and
+# the shared static-fact cache; ptdbg boots through it too.
 race-campaign:
-	$(GO) test -race -shuffle=on ./internal/mem/ ./internal/campaign/ ./internal/attack/ ./internal/kernel/ ./internal/netsim/ ./internal/fault/ ./internal/fuzz/ ./internal/cpu/ ./internal/serve/ ./internal/obs/ ./cmd/ptattack/ ./cmd/ptcampaign/ ./cmd/ptfault/ ./cmd/ptfuzz/ ./cmd/ptserve/ ./cmd/pttrace/
+	$(GO) test -race -shuffle=on ./internal/mem/ ./internal/campaign/ ./internal/core/ ./internal/attack/ ./internal/kernel/ ./internal/netsim/ ./internal/fault/ ./internal/fuzz/ ./internal/cpu/ ./internal/serve/ ./internal/obs/ ./cmd/ptattack/ ./cmd/ptcampaign/ ./cmd/ptfault/ ./cmd/ptfuzz/ ./cmd/ptserve/ ./cmd/pttrace/ ./cmd/ptdbg/
 
 # A small seeded fault-injection campaign with the invariants enforced:
 # zero SilentTaintLoss on the un-faulted control arm, every attack-arm

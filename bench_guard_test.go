@@ -47,10 +47,13 @@ func measureNsPerInstr(t *testing.T, provenance, coverage, nosb bool) float64 {
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
 			m, err := core.BuildC(core.Config{
-				Budget: 1 << 40, Provenance: provenance, NoSuperblocks: nosb,
+				Budget: 1 << 40, Provenance: provenance,
 			}, hotLoopSrc)
 			if err != nil {
 				b.Fatal(err)
+			}
+			if nosb {
+				m.CPU.SetSuperblocks(false)
 			}
 			if coverage {
 				cm.Reset()

@@ -262,10 +262,13 @@ func BenchmarkStepFastPath(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
 			m, err := core.BuildC(core.Config{
-				Budget: 1 << 40, Reference: reference, NoStatic: noStatic,
+				Budget: 1 << 40, Reference: reference,
 			}, hotLoopSrc)
 			if err != nil {
 				b.Fatal(err)
+			}
+			if noStatic {
+				m.CPU.SetStaticFacts(nil)
 			}
 			b.StartTimer()
 			runErr := m.Run()

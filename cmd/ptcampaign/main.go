@@ -23,6 +23,7 @@ import (
 
 	"repro/internal/attack"
 	"repro/internal/campaign"
+	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/taint"
 )
@@ -257,6 +258,6 @@ func minInt(a, b int) int {
 // report exactly once — not per session.
 func processMetrics() metrics.Snapshot {
 	r := metrics.New()
-	attack.FillStaticCacheMetrics(r)
+	core.FillStaticCacheMetrics(r)
 	return r.Snapshot()
 }

@@ -31,6 +31,7 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/asm"
 	"repro/internal/cc"
+	"repro/internal/core"
 	"repro/internal/cpu"
 	"repro/internal/isa"
 	"repro/internal/kernel"
@@ -102,21 +103,23 @@ func run(args []string, in io.Reader, out io.Writer) error {
 		return err
 	}
 
-	k := kernel.New()
-	m := mem.New()
-	c := cpu.New(cpu.Config{Bus: m, Policy: policy, Handler: k, Image: im})
-	c.LoadImage(m, im)
-	k.SetBreak(im.DataEnd)
-	k.SetArgs(c, rest, nil)
+	var stdin []byte
 	if stdinPath != "" {
-		data, err := os.ReadFile(stdinPath)
-		if err != nil {
+		if stdin, err = os.ReadFile(stdinPath); err != nil {
 			return err
 		}
-		k.SetStdin(data)
+	}
+	// The debugger single-steps the reference interpreter and leaves the
+	// guest's memory uncapped.
+	mach, err := core.BootImage(core.Config{
+		Policy: policy, ProgName: rest[0], Args: rest[1:], Stdin: stdin,
+		Reference: true, MemLimit: -1,
+	}, im)
+	if err != nil {
+		return err
 	}
 
-	d := &debugger{im: im, k: k, c: c, m: m, out: out, breaks: map[uint32]bool{}}
+	d := &debugger{im: im, k: mach.Kernel, c: mach.CPU, m: mach.Mem, out: out, breaks: map[uint32]bool{}}
 	// Static verdicts annotate the disassembly; a failed analysis just
 	// leaves the annotations off — the debugger stays usable regardless.
 	if res, err := analysis.Analyze(im, taint.Propagator{}); err == nil {

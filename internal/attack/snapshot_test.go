@@ -111,7 +111,7 @@ func TestConcurrentForkedSessions(t *testing.T) {
 			t.Errorf("session %d final memory diverged: %#x vs %#x", i, memFPs[i], memFPs[0])
 		}
 	}
-	if !snap.mem.SpanTainted(0, 0) && snap.cpu.Stats().Instructions == 0 {
+	if snap.Stats().Instructions == 0 {
 		t.Fatal("snapshot unexpectedly empty") // sanity: snapshot captured a booted machine
 	}
 }

@@ -30,7 +30,6 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/analysis"
 	"repro/internal/asm"
 	"repro/internal/cache"
 	"repro/internal/cc"
@@ -83,27 +82,35 @@ type BlockedError = kernel.BlockedError
 // all paper rules active).
 type Rules = taint.Propagator
 
-// Config assembles a machine.
+// Config assembles a machine. Every entry point boots through it: the
+// library API, the attack drivers (attack.Options is this type), the
+// campaign, fault and fuzzing engines, ptserve and ptdbg.
 type Config struct {
 	// Policy defaults to PointerTaintedness.
 	Policy Policy
-	// Rules configures Table 1 rule ablations.
-	Rules Rules
+	// Prop configures Table 1 rule ablations.
+	Prop Rules
 	// WithCache interposes the L1/L2 hierarchy (taint bits ride the cache
-	// lines). Off by default: flat memory is faster to simulate.
+	// lines, Section 4.1). Off by default: flat memory is faster to
+	// simulate, and only flat-memory machines can be snapshotted.
 	WithCache bool
 	// Args are the guest's command-line arguments (argv[1:]; argv[0] is
 	// the program name). Argument bytes are tainted, per the paper.
 	Args []string
 	// Env is the guest's environment ("K=V"); also tainted.
 	Env []string
+	// Stdin preloads the guest's standard input (tainted on read).
+	Stdin []byte
+	// Files preloads the guest filesystem, path to contents.
+	Files map[string][]byte
 	// ProgName is argv[0]; defaults to "a.out".
 	ProgName string
-	// Budget bounds the instruction count per Run call (default 200M).
+	// Budget bounds the instruction count per Run call (default
+	// DefaultBudget).
 	Budget uint64
-	// MemLimit caps resident guest memory in bytes (default 256 MiB;
-	// negative disables the cap). A guest growing past it gets a
-	// *MemLimitError from Run instead of consuming the host.
+	// MemLimit caps resident guest memory in bytes (default
+	// DefaultMemLimit; negative disables the cap). A guest growing past
+	// it gets a *MemLimitError from Run instead of consuming the host.
 	MemLimit int
 	// NoLibc omits the bundled runtime library when building C sources
 	// (for fully freestanding programs).
@@ -111,21 +118,8 @@ type Config struct {
 	// Reference forces the classic one-instruction Step interpreter
 	// instead of the predecoded basic-block fast path (the default). The
 	// two are behaviourally identical; the reference path exists for
-	// cross-checking and debugging.
+	// cross-checking and debugging, so it never consumes static facts.
 	Reference bool
-	// NoSuperblocks disables the trace-superblock tier of the fast path
-	// (hot clean loops fused into straight-line specialized traces; see
-	// internal/cpu/superblock.go). Behaviour is identical either way —
-	// the tier deoptimizes to the basic-block path whenever any of its
-	// assumptions fail — so this exists for measurement and debugging,
-	// like Reference. Implied by Reference.
-	NoSuperblocks bool
-	// NoStatic skips the boot-time static may-taint analysis
-	// (internal/analysis) whose provably-clean facts let the fast path
-	// drop runtime taint checks. The analysis adds a few milliseconds to
-	// boot and changes no observable behaviour; disable it to measure
-	// the purely dynamic machine.
-	NoStatic bool
 	// Provenance enables taint-provenance tracking: every external input
 	// byte (read/recv, argv, env) gets an origin label, Table 1
 	// propagation merges labels, and a SecurityAlert carries a chain
@@ -138,15 +132,24 @@ type Config struct {
 	// alerts, and syscalls; export them with ExportEventsJSONL or
 	// ExportChromeTrace.
 	TraceEvents int
+	// Events, when non-nil, receives every structured trace event as
+	// JSONL while the machine runs (on a default-sized ring unless
+	// TraceEvents sets one). Subscribers run on the emitting goroutine
+	// unsynchronized, so one writer must not be shared by machines that
+	// run concurrently.
+	Events io.Writer
 }
 
-// Machine is a ready-to-run guest.
+// Machine is a ready-to-run guest. Its parts are exported for callers
+// that drive the machine below this package's API: attack sessions,
+// fault injection, the debugger.
 type Machine struct {
-	image     *asm.Image
-	kern      *kernel.Kernel
-	cpu       *cpu.CPU
-	mem       *mem.Memory
-	caches    *cache.Hierarchy
+	Image  *asm.Image
+	Kernel *kernel.Kernel
+	CPU    *cpu.CPU
+	Mem    *mem.Memory
+	Caches *cache.Hierarchy // nil without Config.WithCache
+
 	budget    uint64
 	reference bool
 }
@@ -188,12 +191,18 @@ func BuildASM(cfg Config, sources ...string) (*Machine, error) {
 	return BootImage(cfg, im)
 }
 
-// BootImage boots a pre-assembled image. Boot-time panics (an image whose
-// load trips the memory cap, say) are recovered into errors.
+// BootImage boots a pre-assembled image. It is the one place a machine is
+// assembled. Boot-time panics (a malformed image whose load trips the
+// memory cap, say) are recovered into errors: booting untrusted images
+// must not take the host down.
 func BootImage(cfg Config, im *asm.Image) (machine *Machine, err error) {
+	name := cfg.ProgName
+	if name == "" {
+		name = "a.out"
+	}
 	defer func() {
 		if r := recover(); r != nil {
-			machine, err = nil, fmt.Errorf("boot: %v", r)
+			machine, err = nil, fmt.Errorf("boot %s: %v", name, r)
 		}
 	}()
 	k := kernel.New()
@@ -210,14 +219,14 @@ func BootImage(cfg Config, im *asm.Image) (machine *Machine, err error) {
 		var err error
 		hier, err = cache.NewDefaultHierarchy(physical)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("cache hierarchy: %w", err)
 		}
 		bus = hier
 	}
 	c := cpu.New(cpu.Config{
 		Bus:     bus,
 		Policy:  cfg.Policy,
-		Prop:    cfg.Rules,
+		Prop:    cfg.Prop,
 		Handler: k,
 		Image:   im,
 	})
@@ -227,42 +236,37 @@ func BootImage(cfg Config, im *asm.Image) (machine *Machine, err error) {
 	// sources (argv/env bytes) get origin labels too.
 	if cfg.Provenance {
 		if err := c.EnableProvenance(); err != nil {
-			return nil, err
+			return nil, fmt.Errorf("boot %s: %w", name, err)
 		}
 	}
-	if cfg.TraceEvents != 0 {
-		cap := cfg.TraceEvents
-		if cap < 0 {
-			cap = 0 // EnableEvents picks the default
+	if cfg.TraceEvents != 0 || cfg.Events != nil {
+		sink := c.EnableEvents(max(cfg.TraceEvents, 0)) // 0 picks the default
+		if cfg.Events != nil {
+			sink.Stream(cpu.StreamJSONL(cfg.Events))
 		}
-		c.EnableEvents(cap)
-	}
-	name := cfg.ProgName
-	if name == "" {
-		name = "a.out"
 	}
 	k.SetArgs(c, append([]string{name}, cfg.Args...), cfg.Env)
-	if cfg.NoSuperblocks {
-		c.SetSuperblocks(false)
+	if cfg.Stdin != nil {
+		k.SetStdin(cfg.Stdin)
 	}
-	if !cfg.Reference && !cfg.NoStatic {
+	for path, data := range cfg.Files {
+		k.FS.WriteFile(path, data)
+	}
+	if !cfg.Reference {
 		// Static provably-clean facts let the fast path skip runtime
 		// taint checks; the reference interpreter never consumes them, so
 		// it stays an independent oracle. A bailed or failed analysis
 		// just leaves the machine purely dynamic.
-		if res, err := analysis.Analyze(im, cfg.Rules); err == nil && !res.Bailed {
-			c.SetStaticFacts(res.Facts())
+		if facts := staticFactsFor(im, cfg.Prop); facts != nil {
+			c.SetStaticFacts(facts)
 		}
 	}
-	budget := cfg.Budget
-	if budget == 0 {
-		budget = DefaultBudget
-	}
-	return &Machine{
-		image: im, kern: k, cpu: c, mem: physical, caches: hier,
-		budget:    budget,
+	m := &Machine{
+		Image: im, Kernel: k, CPU: c, Mem: physical, Caches: hier,
 		reference: cfg.Reference,
-	}, nil
+	}
+	m.SetBudget(cfg.Budget)
+	return m, nil
 }
 
 // Run executes until the guest exits, blocks on I/O, faults, or an alert
@@ -270,10 +274,24 @@ func BootImage(cfg Config, im *asm.Image) (machine *Machine, err error) {
 // awaits input (feed it and Run again); *SecurityAlert is a detection.
 func (m *Machine) Run() error {
 	if m.reference {
-		return m.cpu.Run(m.budget)
+		return m.CPU.Run(m.budget)
 	}
-	return m.cpu.RunFast(m.budget)
+	return m.CPU.RunFast(m.budget)
 }
+
+// SetBudget overrides the per-Run instruction budget (0 restores
+// DefaultBudget). Fault campaigns tighten it per fork, to a calibrated
+// multiple of the control session's length, so a wedged injection trips
+// the watchdog quickly instead of burning the full default budget.
+func (m *Machine) SetBudget(n uint64) {
+	if n == 0 {
+		n = DefaultBudget
+	}
+	m.budget = n
+}
+
+// Budget returns the current per-Run instruction budget.
+func (m *Machine) Budget() uint64 { return m.budget }
 
 // RunToBlock runs and requires the guest to block on I/O (servers).
 func (m *Machine) RunToBlock() error {
@@ -288,28 +306,45 @@ func (m *Machine) RunToBlock() error {
 	return err
 }
 
+// Sync flushes dirty cache lines to memory so host-side inspection of Mem
+// sees the guest's latest state.
+func (m *Machine) Sync() {
+	if m.Caches != nil {
+		m.Caches.FlushAll()
+	}
+}
+
+// Symbol resolves a program symbol, failing loudly when missing.
+func (m *Machine) Symbol(name string) (uint32, error) {
+	a, ok := m.Image.Symbols[name]
+	if !ok {
+		return 0, fmt.Errorf("symbol %q not in image", name)
+	}
+	return a, nil
+}
+
 // SetStdin preloads the guest's standard input (tainted on read).
-func (m *Machine) SetStdin(data []byte) { m.kern.SetStdin(data) }
+func (m *Machine) SetStdin(data []byte) { m.Kernel.SetStdin(data) }
 
 // Stdout returns everything the guest wrote to fd 1.
-func (m *Machine) Stdout() string { return m.kern.Stdout() }
+func (m *Machine) Stdout() string { return m.Kernel.Stdout() }
 
 // Stderr returns everything the guest wrote to fd 2.
-func (m *Machine) Stderr() string { return m.kern.Stderr() }
+func (m *Machine) Stderr() string { return m.Kernel.Stderr() }
 
 // WriteFile seeds the guest filesystem.
 func (m *Machine) WriteFile(path string, data []byte) {
-	m.kern.FS.WriteFile(path, data)
+	m.Kernel.FS.WriteFile(path, data)
 }
 
 // ReadFile reads back a guest file.
 func (m *Machine) ReadFile(path string) ([]byte, bool) {
-	return m.kern.FS.ReadFile(path)
+	return m.Kernel.FS.ReadFile(path)
 }
 
 // Connect opens a client connection to a listening guest port.
 func (m *Machine) Connect(port uint16) (*netsim.Endpoint, error) {
-	return m.kern.Net.Connect(port)
+	return m.Kernel.Net.Connect(port)
 }
 
 // Transact sends input, resumes the guest until it blocks again (or
@@ -328,70 +363,69 @@ func (m *Machine) Transact(ep *netsim.Endpoint, input string) (string, error) {
 }
 
 // Stats returns execution counters.
-func (m *Machine) Stats() cpu.Stats { return m.cpu.Stats() }
+func (m *Machine) Stats() cpu.Stats { return m.CPU.Stats() }
 
 // Pipeline returns the timing model's counters.
-func (m *Machine) Pipeline() cpu.PipelineStats { return m.cpu.Pipe() }
+func (m *Machine) Pipeline() cpu.PipelineStats { return m.CPU.Pipe() }
 
 // CacheStats returns (L1, L2) counters; zero values without WithCache.
 func (m *Machine) CacheStats() (cache.Stats, cache.Stats) {
-	if m.caches == nil {
+	if m.Caches == nil {
 		return cache.Stats{}, cache.Stats{}
 	}
-	return m.caches.L1Stats(), m.caches.L2Stats()
+	return m.Caches.L1Stats(), m.Caches.L2Stats()
 }
 
 // InputStats returns the kernel's taint-initialization counters.
-func (m *Machine) InputStats() kernel.InputStats { return m.kern.Stats() }
+func (m *Machine) InputStats() kernel.InputStats { return m.Kernel.Stats() }
 
 // Symbols exposes the program's symbol table.
-func (m *Machine) Symbols() map[string]uint32 { return m.image.Symbols }
+func (m *Machine) Symbols() map[string]uint32 { return m.Image.Symbols }
 
 // TaintedAt reports how many of the n bytes at addr are tainted (flushes
 // caches first so the view is coherent).
 func (m *Machine) TaintedAt(addr uint32, n int) int {
-	if m.caches != nil {
-		m.caches.FlushAll()
-	}
-	return m.mem.CountTainted(addr, n)
+	m.Sync()
+	return m.Mem.CountTainted(addr, n)
 }
 
 // Exited reports termination status.
-func (m *Machine) Exited() (bool, int32) { return m.cpu.Halted() }
+func (m *Machine) Exited() (bool, int32) { return m.CPU.Halted() }
 
 // EnableProfile turns on per-opcode instruction-mix counting; call before
 // Run.
-func (m *Machine) EnableProfile() { m.cpu.EnableProfile() }
+func (m *Machine) EnableProfile() { m.CPU.EnableProfile() }
 
 // SetCovMap attaches a branch-edge coverage map (nil detaches); call
 // before Run. Both engines record identical edges into it.
-func (m *Machine) SetCovMap(cm *cpu.CovMap) { m.cpu.SetCovMap(cm) }
+func (m *Machine) SetCovMap(cm *cpu.CovMap) { m.CPU.SetCovMap(cm) }
 
 // SetTracer streams a disassembly trace of the first limit instructions
 // (0 = unlimited) to w.
-func (m *Machine) SetTracer(w io.Writer, limit uint64) { m.cpu.SetTracer(w, limit) }
+func (m *Machine) SetTracer(w io.Writer, limit uint64) { m.CPU.SetTracer(w, limit) }
 
 // Profile returns the instruction mix in descending count order.
-func (m *Machine) Profile() []cpu.OpcodeCount { return m.cpu.Profile() }
+func (m *Machine) Profile() []cpu.OpcodeCount { return m.CPU.Profile() }
 
 // Metrics aggregates every subsystem's counters into one metrics
-// snapshot for text/JSON exposition.
+// snapshot for text/JSON exposition; campaign workers capture one per
+// session and merge them deterministically.
 func (m *Machine) Metrics() metrics.Snapshot {
 	r := metrics.New()
-	m.cpu.FillMetrics(r)
-	m.mem.FillMetrics(r)
-	m.kern.FillMetrics(r)
-	if m.caches != nil {
-		m.caches.FillMetrics(r)
+	m.CPU.FillMetrics(r)
+	m.Mem.FillMetrics(r)
+	m.Kernel.FillMetrics(r)
+	if m.Caches != nil {
+		m.Caches.FillMetrics(r)
 	}
 	return r.Snapshot()
 }
 
 // Events returns the structured trace events recorded so far (oldest
 // first; the ring keeps only the most recent Config.TraceEvents entries).
-// Empty without Config.TraceEvents.
+// Empty without Config.TraceEvents or Config.Events.
 func (m *Machine) Events() []cpu.Event {
-	if s := m.cpu.Events(); s != nil {
+	if s := m.CPU.Events(); s != nil {
 		return s.Events()
 	}
 	return nil
@@ -399,7 +433,7 @@ func (m *Machine) Events() []cpu.Event {
 
 // EventsDropped reports how many trace events the ring overwrote.
 func (m *Machine) EventsDropped() uint64 {
-	if s := m.cpu.Events(); s != nil {
+	if s := m.CPU.Events(); s != nil {
 		return s.Dropped()
 	}
 	return 0

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"strings"
 	"testing"
@@ -241,5 +242,133 @@ func TestCacheMissesRaiseCPI(t *testing.T) {
 	}
 	if cacheCPI <= flatCPI {
 		t.Errorf("CPI with cache %.3f not above flat %.3f", cacheCPI, flatCPI)
+	}
+}
+
+// TestConfigReachesGuest walks the boot options of the one Config every
+// entry point shares: each must reach the machine BootImage assembles.
+func TestConfigReachesGuest(t *testing.T) {
+	const idle = `int main() { return 0; }`
+	var events bytes.Buffer
+	cases := []struct {
+		name    string
+		cfg     Config
+		src     string
+		wantErr string // boot error substring; empty for a good boot
+		check   func(t *testing.T, m *Machine)
+	}{
+		{
+			name: "stdin, files and progname",
+			cfg: Config{
+				ProgName: "tool",
+				Stdin:    []byte("from-stdin"),
+				Files:    map[string][]byte{"/data": []byte("from-file")},
+			},
+			src: `
+				int main(int argc, char **argv) {
+					char in[16];
+					char f[16];
+					int n = read(0, in, 15);
+					in[n] = 0;
+					int fd = open("/data", 0);
+					n = read(fd, f, 15);
+					f[n] = 0;
+					printf("%s %s %s\n", argv[0], in, f);
+					return 0;
+				}
+			`,
+			check: func(t *testing.T, m *Machine) {
+				if err := m.Run(); err != nil {
+					t.Fatal(err)
+				}
+				if got, want := m.Stdout(), "tool from-stdin from-file\n"; got != want {
+					t.Errorf("stdout = %q, want %q", got, want)
+				}
+			},
+		},
+		{
+			name: "events stream carries argv taint births",
+			cfg:  Config{Provenance: true, Events: &events, Args: []string{"xyz"}},
+			src:  idle,
+			check: func(t *testing.T, m *Machine) {
+				if !strings.Contains(events.String(), `"kind":"input"`) ||
+					!strings.Contains(events.String(), "argv[1] 3 bytes") {
+					t.Errorf("events stream lacks the argv[1] input birth:\n%s", events.String())
+				}
+			},
+		},
+		{
+			name: "default containment",
+			src:  idle,
+			check: func(t *testing.T, m *Machine) {
+				if m.Budget() != DefaultBudget {
+					t.Errorf("budget = %d, want %d", m.Budget(), DefaultBudget)
+				}
+				if m.Mem.ResidentLimit() != DefaultMemLimit {
+					t.Errorf("memory cap = %d, want %d", m.Mem.ResidentLimit(), DefaultMemLimit)
+				}
+			},
+		},
+		{
+			name: "negative MemLimit uncaps",
+			cfg:  Config{MemLimit: -1},
+			src:  idle,
+			check: func(t *testing.T, m *Machine) {
+				if m.Mem.ResidentLimit() != 0 {
+					t.Errorf("memory cap = %d, want none", m.Mem.ResidentLimit())
+				}
+			},
+		},
+		{
+			name:    "provenance needs flat memory",
+			cfg:     Config{Provenance: true, WithCache: true},
+			src:     idle,
+			wantErr: "flat memory",
+		},
+		{
+			name: "snapshot fork matches a direct run",
+			cfg:  Config{Stdin: []byte("abc")},
+			src: `
+				int main() {
+					char buf[8];
+					int n = read(0, buf, 7);
+					buf[n] = 0;
+					printf("read %s\n", buf);
+					return 0;
+				}
+			`,
+			check: func(t *testing.T, m *Machine) {
+				snap, err := m.Snapshot()
+				if err != nil {
+					t.Fatal(err)
+				}
+				f := snap.Fork()
+				ferr, merr := f.Run(), m.Run()
+				if ferr != nil || merr != nil {
+					t.Fatalf("fork run: %v, direct run: %v", ferr, merr)
+				}
+				if f.Stdout() != "read abc\n" || f.Stdout() != m.Stdout() {
+					t.Errorf("fork stdout %q, direct stdout %q", f.Stdout(), m.Stdout())
+				}
+				if f.Stats() != m.Stats() {
+					t.Errorf("fork stats %+v, direct stats %+v", f.Stats(), m.Stats())
+				}
+			},
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			m, err := BuildC(tc.cfg, tc.src)
+			if tc.wantErr != "" {
+				if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+					t.Fatalf("boot error = %v, want one containing %q", err, tc.wantErr)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.check(t, m)
+		})
 	}
 }

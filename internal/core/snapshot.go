@@ -1,12 +1,9 @@
-package attack
+package core
 
 import (
 	"errors"
 
-	"repro/internal/asm"
 	"repro/internal/cpu"
-	"repro/internal/kernel"
-	"repro/internal/mem"
 )
 
 // Snapshot is an immutable capture of a booted machine: registers, taint
@@ -16,12 +13,7 @@ import (
 // of work the campaign engine replays. A Snapshot never executes, so its
 // pages stay frozen and Fork may be called from many goroutines at once.
 type Snapshot struct {
-	image     *asm.Image
-	cpu       *cpu.CPU
-	mem       *mem.Memory
-	kern      *kernel.Kernel
-	budget    uint64
-	reference bool
+	m *Machine // never runs; its pages stay frozen
 }
 
 // Snapshot captures the machine's current state. The machine must be at a
@@ -37,22 +29,12 @@ func (m *Machine) Snapshot() (*Snapshot, error) {
 	}
 	m.CPU.NoteSnapshot()
 	m.CPU.ShareText()
-	smem := m.Mem.Fork()
-	skern := m.Kernel.Clone()
-	scpu := m.CPU.Fork(smem, skern)
-	return &Snapshot{
-		image:     m.Image,
-		cpu:       scpu,
-		mem:       smem,
-		kern:      skern,
-		budget:    m.budget,
-		reference: m.reference,
-	}, nil
+	return &Snapshot{m.fork()}, nil
 }
 
 // Stats returns the CPU counters at the snapshot point; campaign
 // accounting subtracts them to charge each session only its own work.
-func (s *Snapshot) Stats() cpu.Stats { return s.cpu.Stats() }
+func (s *Snapshot) Stats() cpu.Stats { return s.m.CPU.Stats() }
 
 // Fork stamps out an independent Machine in the snapshot's state: memory
 // is shared copy-on-write, the kernel (filesystem, network, fd table) is
@@ -62,16 +44,15 @@ func (s *Snapshot) Stats() cpu.Stats { return s.cpu.Stats() }
 // concurrently from campaign workers. Host-side network Endpoints from
 // before the snapshot still address the original machine; a forked
 // session opens its own connections via Connect.
-func (s *Snapshot) Fork() *Machine {
-	fmem := s.mem.Fork()
-	fkern := s.kern.Clone()
-	fcpu := s.cpu.Fork(fmem, fkern)
+func (s *Snapshot) Fork() *Machine { return s.m.fork() }
+
+// fork clones m's flat-memory state into a new Machine: pages shared
+// copy-on-write, kernel deep-copied, CPU cloned onto the two.
+func (m *Machine) fork() *Machine {
+	fmem := m.Mem.Fork()
+	fkern := m.Kernel.Clone()
 	return &Machine{
-		Image:     s.image,
-		Kernel:    fkern,
-		CPU:       fcpu,
-		Mem:       fmem,
-		budget:    s.budget,
-		reference: s.reference,
+		Image: m.Image, Kernel: fkern, CPU: m.CPU.Fork(fmem, fkern), Mem: fmem,
+		budget: m.budget, reference: m.reference,
 	}
 }

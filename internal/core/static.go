@@ -1,4 +1,4 @@
-package attack
+package core
 
 import (
 	"sync"
@@ -77,7 +77,9 @@ func staticFactsFor(im *asm.Image, prop taint.Propagator) []uint8 {
 
 // FillStaticCacheMetrics exports the process-wide static-fact cache
 // counters into r, alongside the per-machine subsystem counters that
-// Machine.Metrics collects.
+// Machine.Metrics collects. The names keep the attack. prefix they were
+// published under, so existing scrapes and benchmark reports read them
+// unchanged.
 func FillStaticCacheMetrics(r *metrics.Registry) {
 	c := staticCache
 	c.mu.Lock()

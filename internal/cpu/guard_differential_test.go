@@ -11,20 +11,22 @@ import (
 
 	"repro/internal/asm"
 	"repro/internal/attack"
+	"repro/internal/core"
 	"repro/internal/cpu"
 	"repro/internal/isa"
 	"repro/internal/mem"
 	"repro/internal/taint"
 )
 
-// bootASM boots a raw assembly image on the attack machinery.
+// bootASM boots a raw assembly image on the shared machine assembler.
 func bootASM(t *testing.T, src string, opts attack.Options) *attack.Machine {
 	t.Helper()
 	im, err := asm.AssembleString(src)
 	if err != nil {
 		t.Fatalf("assemble: %v", err)
 	}
-	m, err := attack.BootImage("watchdog", im, opts)
+	opts.ProgName = "watchdog"
+	m, err := core.BootImage(opts, im)
 	if err != nil {
 		t.Fatalf("boot: %v", err)
 	}

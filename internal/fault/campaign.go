@@ -57,7 +57,7 @@ type Target struct {
 // budgetFor returns the tightened absolute instruction budget for one
 // injected fork: enough for several control sessions' worth of work, so a
 // fault that sends the guest spinning trips the watchdog quickly instead
-// of burning attack.DefaultBudget.
+// of burning core.DefaultBudget.
 func (t *Target) budgetFor() uint64 {
 	return t.Base + 4*t.SessionLen + 100_000
 }

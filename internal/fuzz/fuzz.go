@@ -101,7 +101,7 @@ type Target struct {
 	base uint64
 	// budget is the absolute per-fork instruction cap: several scripted
 	// sessions' worth, so a mutated input that sends the guest spinning
-	// trips the watchdog instead of burning attack.DefaultBudget.
+	// trips the watchdog instead of burning core.DefaultBudget.
 	budget uint64
 	// scriptedFP is the scripted attack session's outcome fingerprint —
 	// the oracle the fuzzer tries to rediscover from benign seeds.

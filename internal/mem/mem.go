@@ -331,6 +331,9 @@ func (m *Memory) SetResidentLimit(limit int) {
 	m.maxPages = (limit + PageSize - 1) / PageSize
 }
 
+// ResidentLimit returns the resident-memory cap in bytes (0 = uncapped).
+func (m *Memory) ResidentLimit() int { return m.maxPages * PageSize }
+
 // COWFaults returns how many pages this Memory copied on write faults
 // since it was created or forked.
 func (m *Memory) COWFaults() uint64 { return m.cowFaults }

@@ -264,6 +264,17 @@ func (r *Registry) Counter(name string) *Counter {
 	return c
 }
 
+// CounterValue reads the named counter without creating it: 0 when it
+// was never created.
+func (r *Registry) CounterValue(name string) uint64 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if c, ok := r.counters[name]; ok {
+		return c.v
+	}
+	return 0
+}
+
 // Gauge returns the named gauge, creating it at zero if absent.
 func (r *Registry) Gauge(name string) *Gauge {
 	r.mu.Lock()

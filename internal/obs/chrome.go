@@ -71,8 +71,11 @@ func ComposeChrome(w io.Writer, spans []SpanRecord, guestSpan string, evs []cpu.
 			ts := float64(e.Instrs)
 			if haveGuest {
 				// Linear map instruction-time onto the guest span's
-				// wall-clock interval.
-				ts = guestStart + guestDur*float64(e.Instrs)/float64(maxInstr)
+				// wall-clock interval. The ratio comes first so the
+				// max-instruction event lands exactly on the span's end
+				// (guestDur*1 is exact; guestDur*n/n can round one ulp
+				// past it).
+				ts = guestStart + guestDur*(float64(e.Instrs)/float64(maxInstr))
 			}
 			args, err := json.Marshal(e)
 			if err != nil {

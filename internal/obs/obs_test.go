@@ -189,12 +189,29 @@ func TestComposeChromeNestsGuestEvents(t *testing.T) {
 	tr := NewTracer(5)
 	run := tr.Start(nil, "run")
 	run.End()
+	checkGuestEventsNested(t, tr.Records())
+}
+
+// TestComposeChromeMaxEventAtSpanEnd pins span timings for which scaling
+// by n/max after the multiply rounds the max-instruction event one ulp
+// past the guest span's end.
+func TestComposeChromeMaxEventAtSpanEnd(t *testing.T) {
+	checkGuestEventsNested(t, []SpanRecord{
+		{ID: "1", Name: "run", Seq: 1, StartNs: 49165275, DurNs: 13274636},
+	})
+}
+
+// checkGuestEventsNested composes two guest events into spans, whose
+// first record must be the "run" span, and checks that both land inside
+// it with the max-instruction event exactly at its end.
+func checkGuestEventsNested(t *testing.T, spans []SpanRecord) {
+	t.Helper()
 	evs := []cpu.Event{
 		{Kind: cpu.EvSyscall, Instrs: 10, PC: 0x1000},
 		{Kind: cpu.EvAlert, Instrs: 20, PC: 0x1004},
 	}
 	var buf bytes.Buffer
-	if err := ComposeChrome(&buf, tr.Records(), "run", evs); err != nil {
+	if err := ComposeChrome(&buf, spans, "run", evs); err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {

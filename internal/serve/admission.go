@@ -14,19 +14,12 @@ import (
 // submissions are accounted for in the per-tenant metrics.
 const MalformedTenant = "_malformed"
 
-// tenantState is one tenant's book-keeping. The raw integers live under
-// Server.mu (metrics.Counter is not goroutine-safe); the registry bridge
-// in metricsSnapshot translates them per scrape.
+// tenantState is one tenant's live book-keeping under Server.mu. Its
+// event counts (submitted, admitted, rejected, shed, completed, retried,
+// timed_out, errors) live only in the registry, bumped under Server.mu
+// too, so a TenantStats read under that lock is one consistent point.
 type tenantState struct {
-	submitted uint64 // every request attributed to the tenant
-	admitted  uint64 // passed admission and entered the queue
-	rejected  uint64 // failed validation or a quota (4xx)
-	shed      uint64 // refused by load-shedding or drain (503)
-	completed uint64 // resolved with a terminal result
-	retried   uint64 // pool-guard retries across the tenant's sessions
-	timedOut  uint64 // sessions resolved by the wall-clock deadline
-	errored   uint64 // sessions resolved with a structured error
-	active    int    // queued + running right now
+	active int // queued + running right now
 }
 
 // TenantStats is the embedded per-tenant observability block: a snapshot
@@ -45,23 +38,34 @@ type TenantStats struct {
 	Active    int    `json:"active"`
 }
 
-func (t *tenantState) stats(name string) TenantStats {
-	return TenantStats{
-		Tenant: name, Submitted: t.submitted, Admitted: t.admitted,
-		Rejected: t.rejected, Shed: t.shed, Completed: t.completed,
-		Retried: t.retried, TimedOut: t.timedOut, Errors: t.errored,
-		Active: t.active,
-	}
+// tenantCounter names one tenant's labeled registry counter.
+func tenantCounter(tenant, counter string) string {
+	return metrics.Labeled("serve.tenant."+counter, "tenant", tenant)
 }
 
-// bump mirrors one tenant-counter increment into the live registry as a
-// labeled counter — the incremental bridge that keeps /metrics scrapes
-// monotonic without rebuilding anything per scrape. Safe to call with
-// Server.mu held (lock order is mu before regMu).
+// bump counts one tenant event into the live registry as a labeled
+// counter, which keeps /metrics scrapes monotonic without rebuilding
+// anything per scrape. Callers hold Server.mu (lock order is mu before
+// regMu).
 func (s *Server) bump(tenant, counter string, n uint64) {
 	s.regMu.Lock()
-	s.reg.Counter(metrics.Labeled("serve.tenant."+counter, "tenant", tenant)).Add(n)
+	s.reg.Counter(tenantCounter(tenant, counter)).Add(n)
 	s.regMu.Unlock()
+}
+
+// tenantStats reads the tenant's counters back from the registry without
+// creating the ones never bumped, so the read adds no series to
+// /metrics. Callers hold Server.mu.
+func (s *Server) tenantStats(tenant string, active int) TenantStats {
+	s.regMu.Lock()
+	defer s.regMu.Unlock()
+	n := func(counter string) uint64 { return s.reg.CounterValue(tenantCounter(tenant, counter)) }
+	return TenantStats{
+		Tenant: tenant, Submitted: n("submitted"), Admitted: n("admitted"),
+		Rejected: n("rejected"), Shed: n("shed"), Completed: n("completed"),
+		Retried: n("retried"), TimedOut: n("timed_out"), Errors: n("errors"),
+		Active: active,
+	}
 }
 
 // admitError is a structured admission refusal: an HTTP status plus the
@@ -81,9 +85,11 @@ func (s *Server) handleSession(w http.ResponseWriter, r *http.Request) {
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		// The body never parsed, so the tenant is unknowable; charge the
 		// malformed pseudo-tenant so the session is still accounted for.
-		s.charge(MalformedTenant, func(t *tenantState) { t.submitted++; t.rejected++ })
+		s.mu.Lock()
+		s.tenant(MalformedTenant) // every tenant seen gets an active gauge
 		s.bump(MalformedTenant, "submitted", 1)
 		s.bump(MalformedTenant, "rejected", 1)
+		s.mu.Unlock()
 		writeError(w, http.StatusBadRequest, "malformed request: "+err.Error())
 		return
 	}
@@ -124,28 +130,23 @@ func (s *Server) admit(tenant string, req *SessionRequest, tr *obs.Tracer, adm *
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	t := s.tenant(tenant)
-	t.submitted++
 	s.bump(tenant, "submitted", 1)
 
 	if verr != nil {
-		t.rejected++
 		s.bump(tenant, "rejected", 1)
 		return nil, verr
 	}
 	if s.draining {
-		t.shed++
 		s.bump(tenant, "shed", 1)
 		return nil, &admitError{code: http.StatusServiceUnavailable, shed: true,
 			reason: "draining: not admitting new sessions"}
 	}
 	if gauge := s.cfg.MemGauge(); gauge >= s.cfg.HighWater {
-		t.shed++
 		s.bump(tenant, "shed", 1)
 		return nil, &admitError{code: http.StatusServiceUnavailable, shed: true,
 			reason: fmt.Sprintf("shedding load: resident memory %d >= high water %d", gauge, s.cfg.HighWater)}
 	}
 	if t.active >= s.cfg.MaxPerTenant {
-		t.rejected++
 		s.bump(tenant, "rejected", 1)
 		return nil, &admitError{code: http.StatusTooManyRequests,
 			reason: fmt.Sprintf("tenant %q at concurrent-session cap (%d)", tenant, s.cfg.MaxPerTenant)}
@@ -164,7 +165,6 @@ func (s *Server) admit(tenant string, req *SessionRequest, tr *obs.Tracer, adm *
 	adm.End()
 	select {
 	case s.queue <- j:
-		t.admitted++
 		t.active++
 		s.queueLen++
 		s.inflight.Add(1)
@@ -172,7 +172,6 @@ func (s *Server) admit(tenant string, req *SessionRequest, tr *obs.Tracer, adm *
 		return j, nil
 	default:
 		s.hub.discard(j.id)
-		t.rejected++
 		s.bump(tenant, "rejected", 1)
 		return nil, &admitError{code: http.StatusTooManyRequests,
 			reason: fmt.Sprintf("queue full (%d deep): backpressure", s.cfg.QueueDepth)}
@@ -235,19 +234,15 @@ func (s *Server) settle(tenant string, res *SessionResult) {
 	defer s.mu.Unlock()
 	t := s.tenant(tenant)
 	t.active--
-	t.completed++
-	t.retried += uint64(res.Retries)
 	s.bump(tenant, "completed", 1)
 	s.bump(tenant, "retried", uint64(res.Retries))
 	switch res.Status {
 	case StatusTimeout:
-		t.timedOut++
 		s.bump(tenant, "timed_out", 1)
 	case StatusError:
-		t.errored++
 		s.bump(tenant, "errors", 1)
 	}
-	res.Stats = t.stats(tenant)
+	res.Stats = s.tenantStats(tenant, t.active)
 }
 
 // tenant returns (creating on first touch) the tenant's state. Callers
@@ -259,13 +254,6 @@ func (s *Server) tenant(name string) *tenantState {
 		s.tenants[name] = t
 	}
 	return t
-}
-
-// charge runs one accounting mutation under the lock.
-func (s *Server) charge(tenant string, f func(*tenantState)) {
-	s.mu.Lock()
-	f(s.tenant(tenant))
-	s.mu.Unlock()
 }
 
 // writeError emits the uniform JSON error envelope.

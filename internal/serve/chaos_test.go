@@ -72,9 +72,9 @@ func TestChaosHostileTenants(t *testing.T) {
 		Backoff:  time.Millisecond,
 	}
 
-	// The oracle runs are prepared before the server exists: scenario
-	// boots toggle process-wide attack.Force* globals and must never race
-	// the server's own campaigns.
+	// The oracle runs go straight through the campaign engine before the
+	// server exists. Each boot carries its own core.Config, so they share
+	// no setting with the server's campaigns.
 	const sessions = 4
 	oracle := map[int64][]string{
 		1: directFingerprints(t, ct, 1, sessions),

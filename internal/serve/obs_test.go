@@ -27,7 +27,7 @@ func TestMetricsMonotonic(t *testing.T) {
 	submit(t, hs.URL, req)
 	first := metricsJSON(t, hs.URL)
 	submit(t, hs.URL, req)
-	submit(t, hs.URL, req)
+	_, third := submit(t, hs.URL, req)
 	second := metricsJSON(t, hs.URL)
 
 	if len(first.Counters) == 0 {
@@ -40,6 +40,17 @@ func TestMetricsMonotonic(t *testing.T) {
 	}
 	if got, want := second.Counters[`serve.tenant.completed{tenant="m"}`], uint64(3); got != want {
 		t.Errorf("completed = %d, want %d", got, want)
+	}
+	// The response's tenant block reads the same registry counters, and
+	// reading them creates no series for events that never happened.
+	if st := third.Stats; st.Submitted != 3 || st.Admitted != 3 || st.Completed != 3 || st.Rejected != 0 {
+		t.Errorf("tenant stats = %+v, want 3 submitted, admitted and completed", st)
+	}
+	for _, c := range []string{"rejected", "shed", "timed_out", "errors"} {
+		name := `serve.tenant.` + c + `{tenant="m"}`
+		if _, ok := second.Counters[name]; ok {
+			t.Errorf("/metrics has %s, but no such event happened", name)
+		}
 	}
 	// A settled run session's machine metrics are absorbed with tenant and
 	// kind labels — the fleet view of the blind tiers.

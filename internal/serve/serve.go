@@ -171,9 +171,10 @@ type Server struct {
 	mux   *http.ServeMux
 	kinds map[string]bool
 
-	// reg is the one live service registry: tenant counters and span
-	// histograms are bridged into it incrementally as they change, so
-	// consecutive scrapes are monotonic — nothing is rebuilt per scrape.
+	// reg is the one live service registry and the only store of the
+	// tenant event counters; they and the span histograms are counted
+	// into it as they change, so consecutive scrapes are monotonic —
+	// nothing is rebuilt per scrape.
 	// machSnap accumulates per-session machine metrics (relabeled by
 	// tenant and kind) as sessions settle. Both under regMu; the lock
 	// order is mu before regMu, never the reverse.
@@ -525,7 +526,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 }
 
 // metricsSnapshot renders the scrape view: the live registry (tenant
-// counters, span histograms, flight counts — bridged incrementally, so
+// counters, span histograms, flight counts — counted incrementally, so
 // consecutive scrapes are monotonic), the accumulated per-session machine
 // metrics, and a point-in-time overlay of gauges plus the process-wide
 // static-fact cache (whose counters are cumulative at their source, so
@@ -551,7 +552,7 @@ func (s *Server) metricsSnapshot() metrics.Snapshot {
 	point.Gauge("serve.draining").Set(draining)
 	point.Gauge("serve.resident_bytes").Set(float64(s.cfg.MemGauge()))
 	point.Gauge("serve.high_water_bytes").Set(float64(s.cfg.HighWater))
-	attack.FillStaticCacheMetrics(point)
+	core.FillStaticCacheMetrics(point)
 
 	s.regMu.Lock()
 	live := s.reg.Snapshot()

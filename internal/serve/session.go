@@ -9,6 +9,7 @@ import (
 	"repro/internal/asm"
 	"repro/internal/attack"
 	"repro/internal/campaign"
+	"repro/internal/core"
 	"repro/internal/cpu"
 	"repro/internal/fault"
 	"repro/internal/fuzz"
@@ -153,7 +154,8 @@ func (s *Server) runOne(j *job, res *SessionResult) {
 		res.code = http.StatusUnprocessableEntity
 		return
 	}
-	opts := attack.Options{
+	cfg := core.Config{
+		ProgName: "tenant-guest",
 		Policy:   taint.PolicyPointerTaintedness,
 		Stdin:    []byte(req.Stdin),
 		Budget:   s.budgetFor(req),
@@ -166,7 +168,7 @@ func (s *Server) runOne(j *job, res *SessionResult) {
 	out, errs, gs := campaign.ForEachGuardedSlots(1, 1, s.guardOpts(req.Seed),
 		func(i, attempt int) (attack.Outcome, error) {
 			sp := j.tr.Start(nil, "boot")
-			m, err := attack.BootImage("tenant-guest", im, opts)
+			m, err := core.BootImage(cfg, im)
 			sp.End()
 			if err != nil {
 				return attack.Outcome{}, fmt.Errorf("boot: %w", err)
