@@ -81,6 +81,7 @@ obs-smoke:
 
 bench:
 	$(GO) test -run '^$$' -bench 'StepFastPath|SPEC' -benchmem .
+	$(GO) test -run '^$$' -bench CovMap -benchmem ./internal/cpu/
 
 # Machine-readable campaign benchmark: sessions/sec, ns/instr, and
 # fork-from-snapshot vs boot-from-image timings (see DESIGN.md).

@@ -62,6 +62,9 @@ func run(args []string, w io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if *batch > fuzz.MaxBatch {
+		return fmt.Errorf("-batch %d: at most %d", *batch, fuzz.MaxBatch)
+	}
 
 	// SIGINT/SIGTERM drain: stop admitting new generations, finish
 	// in-flight forks, and emit the partial report with its interrupted

@@ -86,3 +86,14 @@ func TestUnknownTarget(t *testing.T) {
 		t.Fatal("want an error for an unknown target")
 	}
 }
+
+// TestBatchTooLarge: a generation larger than fuzz.MaxBatch would reuse
+// mutation seeds across generations, so -batch rejects it before any
+// target boots.
+func TestBatchTooLarge(t *testing.T) {
+	var out bytes.Buffer
+	err := run([]string{"-batch", "1100000", "-execs", "8"}, &out)
+	if err == nil || !strings.Contains(err.Error(), "-batch 1100000") {
+		t.Fatalf("want a -batch error, got %v", err)
+	}
+}

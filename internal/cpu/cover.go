@@ -11,7 +11,17 @@
 // per control transfer. SetCovMap attaches a caller-owned fixed-size map;
 // recording is a shift-xor hash plus a saturating counter bump — no
 // allocation, no locks (a map belongs to exactly one CPU at a time).
+//
+// A map is two arrays: the 64 KiB of hit counters and an 8 KiB bitset
+// with one bit per counter, set on the counter's first bump from zero.
+// A fuzz exec touches a few hundred edges, so reading the map back walks
+// the bitset's set bits (Features) or popcounts its words (Edges) instead
+// of scanning 65,536 counters: the cost follows the edges hit, not the
+// table size. The bitset is written once per edge per run, so recording
+// pays for it only on an edge's first traversal.
 package cpu
+
+import "math/bits"
 
 // CovBits sizes the edge hit map; CovSize entries of one byte each. 64K
 // entries keeps the whole map L2-resident while making collisions rare for
@@ -22,26 +32,38 @@ const (
 )
 
 // CovMap is a fixed-size branch-edge hit map: edge index -> saturating
-// execution count. The zero value is ready to use; Reset recycles one
-// between runs without reallocating.
-type CovMap [CovSize]uint8
-
-// Reset clears every counter.
-func (m *CovMap) Reset() {
-	for i := range m {
-		m[i] = 0
-	}
+// execution count, plus the set of indices whose count is nonzero. The
+// zero value is ready to use; Reset recycles one between runs without
+// reallocating.
+type CovMap struct {
+	counts [CovSize]uint8
+	// seen has bit i set exactly when counts[i] != 0.
+	seen [CovSize / 64]uint64
 }
 
-// hit records one traversal of the edge from -> to. Addresses are word
-// aligned, so the low two bits carry nothing; the multiply-xor spreads the
-// remaining bits across the table. Counters saturate at 255 rather than
-// wrap, keeping bucketization monotone in the true count.
-func (m *CovMap) hit(from, to uint32) {
+// Reset clears every counter and the touched-edge set.
+func (m *CovMap) Reset() { *m = CovMap{} }
+
+// covIndex hashes the edge from -> to to its map index. Addresses are
+// word aligned, so the low two bits carry nothing; the multiply-xor
+// spreads the remaining bits across the table.
+func covIndex(from, to uint32) uint32 {
 	h := (from >> 2) * 0x9e3779b1
 	h ^= (to >> 2) * 0x85ebca6b
 	h ^= h >> CovBits
-	if p := &m[h&(CovSize-1)]; *p != 0xff {
+	return h & (CovSize - 1)
+}
+
+// hit records one traversal of the edge from -> to. Counters saturate at
+// 255 rather than wrap, keeping bucketization monotone in the true count.
+func (m *CovMap) hit(from, to uint32) {
+	i := covIndex(from, to)
+	switch p := &m.counts[i]; *p {
+	case 0xff:
+	case 0:
+		*p = 1
+		m.seen[i/64] |= 1 << (i % 64)
+	default:
 		*p++
 	}
 }
@@ -74,11 +96,14 @@ func bucket(n uint8) uint32 {
 // ascending order. A feature is edgeIndex*8 + bucket(count): one value per
 // touched edge, encoding both that the edge ran and how hard. Ordered
 // extraction from a fixed-size table is what keeps feature sets comparable
-// across runs, engines, and worker counts.
+// across runs, engines, and worker counts; walking the touched-edge bits
+// low to high gives that order while visiting only the edges hit.
 func (m *CovMap) Features(buf []uint32) []uint32 {
-	for i, n := range m {
-		if n != 0 {
-			buf = append(buf, uint32(i)*8+bucket(n))
+	for w, word := range m.seen {
+		for word != 0 {
+			i := w*64 + bits.TrailingZeros64(word)
+			word &= word - 1
+			buf = append(buf, uint32(i)*8+bucket(m.counts[i]))
 		}
 	}
 	return buf
@@ -87,10 +112,8 @@ func (m *CovMap) Features(buf []uint32) []uint32 {
 // Edges counts the distinct edge indices with a nonzero hit count.
 func (m *CovMap) Edges() int {
 	n := 0
-	for _, c := range m {
-		if c != 0 {
-			n++
-		}
+	for _, word := range m.seen {
+		n += bits.OnesCount64(word)
 	}
 	return n
 }

@@ -1,6 +1,8 @@
 package cpu
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/mem"
@@ -88,5 +90,135 @@ func TestForkDropsCovMap(t *testing.T) {
 	}
 	if !c.CovEnabled() {
 		t.Error("forking disabled the parent's coverage")
+	}
+}
+
+// naiveFeatures and naiveEdges are the byte-scan reference: every counter
+// in index order, no touched-edge summary.
+func naiveFeatures(m *CovMap) []uint32 {
+	var out []uint32
+	for i, n := range m.counts {
+		if n != 0 {
+			out = append(out, uint32(i)*8+bucket(n))
+		}
+	}
+	return out
+}
+
+func naiveEdges(m *CovMap) int {
+	n := 0
+	for _, c := range m.counts {
+		if c != 0 {
+			n++
+		}
+	}
+	return n
+}
+
+// edgeTo returns a (from, to) pair whose hash lands on index want, so a
+// test can aim hits at the table's first and last entries.
+func edgeTo(t *testing.T, want uint32) (uint32, uint32) {
+	t.Helper()
+	for from := uint32(0x400000); from < 0x400000+4<<20; from += 4 {
+		if covIndex(from, 0x400000) == want {
+			return from, 0x400000
+		}
+	}
+	t.Fatalf("no edge hashes to %d", want)
+	return 0, 0
+}
+
+// checkAgainstNaive holds the map's touched-edge summary to the counters:
+// Features and Edges match the byte-scan reference, and seen has a bit
+// exactly where a counter is nonzero.
+func checkAgainstNaive(t *testing.T, what string, m *CovMap) {
+	t.Helper()
+	got, want := m.Features(nil), naiveFeatures(m)
+	if !slices.Equal(got, want) {
+		t.Fatalf("%s: Features = %d entries, reference %d (first diff in %v vs %v)",
+			what, len(got), len(want), got[:min(len(got), 8)], want[:min(len(want), 8)])
+	}
+	if g, w := m.Edges(), naiveEdges(m); g != w {
+		t.Fatalf("%s: Edges = %d, reference %d", what, g, w)
+	}
+	for i, n := range m.counts {
+		if bit := m.seen[i/64]>>(i%64)&1 == 1; bit != (n != 0) {
+			t.Fatalf("%s: index %d has count %d but seen bit %v", what, i, n, bit)
+		}
+	}
+}
+
+// TestCovMapMatchesByteScan: on seeded random hit streams, the bitset
+// walk reports exactly what a full counter scan would — including edges
+// at indices 0 and CovSize-1, counters driven to 255 and past it, the
+// empty map, appending to a non-empty buffer, and reuse after a Reset
+// that follows a partial run.
+func TestCovMapMatchesByteScan(t *testing.T) {
+	var m CovMap
+	checkAgainstNaive(t, "empty", &m)
+	if f := m.Features(nil); len(f) != 0 {
+		t.Fatalf("empty map has features %v", f)
+	}
+
+	firstFrom, firstTo := edgeTo(t, 0)
+	lastFrom, lastTo := edgeTo(t, CovSize-1)
+	rng := rand.New(rand.NewSource(1))
+	for round := 0; round < 20; round++ {
+		// A few hundred distinct edges per run, like a fuzz exec, with
+		// hit counts spread over every bucket.
+		edges := 50 + rng.Intn(600)
+		for e := 0; e < edges; e++ {
+			from := 0x400000 + uint32(rng.Intn(1<<16))*4
+			to := 0x400000 + uint32(rng.Intn(1<<16))*4
+			for n := rng.Intn(1 << uint(rng.Intn(9))); n >= 0; n-- {
+				m.hit(from, to)
+			}
+		}
+		for n := rng.Intn(300); n >= 0; n-- {
+			m.hit(firstFrom, firstTo)
+		}
+		for n := 0; n < 255+rng.Intn(50); n++ {
+			m.hit(lastFrom, lastTo)
+		}
+		checkAgainstNaive(t, "full run", &m)
+		if m.counts[0] == 0 || m.counts[CovSize-1] != 0xff {
+			t.Fatalf("boundary edges not recorded: counts[0]=%d counts[last]=%d",
+				m.counts[0], m.counts[CovSize-1])
+		}
+		buf := m.Features([]uint32{7})
+		if buf[0] != 7 || !slices.Equal(buf[1:], naiveFeatures(&m)) {
+			t.Fatal("Features did not append to the caller's buffer")
+		}
+
+		// A partial run after Reset must not see the previous run's edges.
+		m.Reset()
+		checkAgainstNaive(t, "after reset", &m)
+		for e := rng.Intn(40); e >= 0; e-- {
+			m.hit(0x400000+uint32(rng.Intn(1<<16))*4, 0x400000+uint32(rng.Intn(1<<16))*4)
+		}
+		checkAgainstNaive(t, "partial run", &m)
+		m.Reset()
+	}
+}
+
+// BenchmarkCovMapFeatures times reading one exec's features back: sparse
+// is a typical fuzz exec (about 400 edges), dense touches every entry.
+func BenchmarkCovMapFeatures(b *testing.B) {
+	for _, bc := range []struct {
+		name  string
+		edges int
+	}{{"sparse", 400}, {"dense", CovSize}} {
+		b.Run(bc.name, func(b *testing.B) {
+			var m CovMap
+			rng := rand.New(rand.NewSource(1))
+			for m.Edges() < bc.edges {
+				m.hit(0x400000+uint32(rng.Intn(1<<20))*4, 0x400000+uint32(rng.Intn(1<<20))*4)
+			}
+			buf := make([]uint32, 0, CovSize)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				buf = m.Features(buf[:0])
+			}
+		})
 	}
 }

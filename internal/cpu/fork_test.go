@@ -117,7 +117,7 @@ func observe(c *CPU, m *mem.Memory, err error, cov *CovMap) forkResult {
 	}
 	if cov != nil {
 		h := fnv.New64a()
-		h.Write(cov[:])
+		h.Write(cov.counts[:])
 		r.cov = h.Sum64()
 	}
 	return r

@@ -10,8 +10,8 @@
 // alert-PC + provenance fingerprint.
 //
 // Determinism is load-bearing: candidates are derived from (corpus state
-// at generation start, seed, generation, slot), executed over the
-// internal/campaign worker pool, and folded sequentially in slot order —
+// at generation start, seed, generation, slot) and executed on the
+// internal/campaign worker pool, then folded sequentially in slot order —
 // so a session is byte-identical at any worker count, and (because both
 // execution engines retire identical instruction streams and record
 // identical edges) across the fast and reference engines too. The
@@ -45,7 +45,7 @@ type Config struct {
 	// Batch is the generation size: candidates derived together from the
 	// corpus state at generation start, executed in parallel, folded
 	// sequentially. It is part of the deterministic schedule — changing it
-	// changes which inputs get generated (default 64).
+	// changes which inputs get generated (default 64, at most MaxBatch).
 	Batch int
 	// Workers is the pool fan-out (0 = campaign.DefaultWorkers()). It is
 	// NOT part of the schedule: any value yields the same report.
@@ -237,16 +237,16 @@ type TargetReport struct {
 	Outcomes  map[string]int `json:"outcomes"`
 	// Edges and Features are the cumulative coverage counts; CorpusSize
 	// is how many inputs earned a corpus slot.
-	Edges      int            `json:"edges"`
-	Features   int            `json:"features"`
-	CorpusSize int            `json:"corpus_size"`
-	Corpus     []CorpusEntry  `json:"corpus,omitempty"`
-	Findings   []*Finding     `json:"findings"`
+	Edges      int           `json:"edges"`
+	Features   int           `json:"features"`
+	CorpusSize int           `json:"corpus_size"`
+	Corpus     []CorpusEntry `json:"corpus,omitempty"`
+	Findings   []*Finding    `json:"findings"`
 	// Rediscovered reports whether some mutated input re-found the
 	// scripted attack's alert fingerprint; RediscoveredExec is the exec
 	// index that first did (-1 otherwise).
-	Rediscovered    bool   `json:"rediscovered"`
-	RediscoveredExec int   `json:"rediscovered_exec"`
+	Rediscovered     bool `json:"rediscovered"`
+	RediscoveredExec int  `json:"rediscovered_exec"`
 	// Flights holds one flight record per newly discovered anomalous
 	// finding (GuestCrash / Timeout / SilentTaintLoss — expected alerts
 	// are findings, not anomalies), in first-exec order.
@@ -260,11 +260,11 @@ type TargetReport struct {
 // strings and slices are in deterministic order, so the marshaled report
 // is byte-identical for a given seed + budget at any worker count.
 type Report struct {
-	Seed    int64  `json:"seed"`
-	Policy  string `json:"policy"`
-	Engine  string `json:"engine"`
-	Execs   int    `json:"execs_per_target"`
-	Batch   int    `json:"batch"`
+	Seed    int64                    `json:"seed"`
+	Policy  string                   `json:"policy"`
+	Engine  string                   `json:"engine"`
+	Execs   int                      `json:"execs_per_target"`
+	Batch   int                      `json:"batch"`
 	Targets map[string]*TargetReport `json:"targets"`
 	// Rediscovered counts the targets whose scripted attack fingerprint
 	// some mutated input re-found.
@@ -292,20 +292,53 @@ func (rep *Report) WriteFlights(dir string) ([]string, error) {
 	return paths, nil
 }
 
-// execResult is one fork's classified run plus its coverage features.
+// execResult is one fork's input and classified run plus its coverage
+// features.
 type execResult struct {
 	ok     bool // false: the slot was abandoned by the pool guard
+	input  []byte
 	out    attack.Outcome
 	err    error
 	feats  []uint32
 	instrs uint64
 }
 
+// MaxBatch is the largest generation size: slotSeed packs the slot index
+// into 20 bits, so a larger batch would give two slots of different
+// generations the same mutation seed.
+const MaxBatch = 1 << 20
+
 // slotSeed derives the mutation seed for (generation, slot), independent
-// of execution order. Slots fit in 20 bits: a batch is at most the pool's
-// 4096-item cap.
+// of execution order. Slots fit in 20 bits because Fuzz rejects a Batch
+// above MaxBatch.
 func slotSeed(seed int64, gen, slot int) int64 {
 	return int64(obs.SplitMix64(uint64(seed), uint64(gen)<<20|uint64(slot)))
+}
+
+// genState is what a generation's candidates derive from, captured by
+// value when the generation starts: a slot abandoned at its deadline may
+// still be mutating after the fold has moved on, and must never read the
+// corpus the fold is growing.
+type genState struct {
+	seed  int64
+	gen   int
+	execs int      // exec index of the generation's slot 0
+	corp  [][]byte // corpus prefix at generation start
+}
+
+// candidate builds slot's input: the target's seeds fill the first exec
+// indices, then each slot mutates the generation's corpus (the seeds while
+// the corpus is empty) under its own slotSeed stream.
+func (g genState) candidate(t *Target, slot int) []byte {
+	if idx := g.execs + slot; idx < len(t.Seeds) {
+		return t.Seeds[idx]
+	}
+	parents := g.corp
+	if len(parents) == 0 {
+		parents = t.Seeds
+	}
+	rng := rand.New(rand.NewSource(slotSeed(g.seed, g.gen, slot)))
+	return mutate(rng, parents, t.Dict, t.MaxLen)
 }
 
 // covPool recycles coverage maps across execs; a map belongs to exactly
@@ -324,6 +357,7 @@ func runOne(t *Target, input []byte) execResult {
 	out, err := t.Play(m, input)
 	return execResult{
 		ok:     true,
+		input:  input,
 		out:    out,
 		err:    err,
 		feats:  cm.Features(make([]uint32, 0, 512)),
@@ -394,6 +428,21 @@ func trimEntry(t *Target, input []byte, need []uint32, limit int) ([]byte, int) 
 	return input, spent
 }
 
+// bitset is a fixed-size set of small integers.
+type bitset []uint64
+
+func newBitset(n int) bitset { return make(bitset, (n+63)/64) }
+
+// add inserts i and reports whether it was absent.
+func (b bitset) add(i uint32) bool {
+	w, bit := &b[i/64], uint64(1)<<(i%64)
+	if *w&bit != 0 {
+		return false
+	}
+	*w |= bit
+	return true
+}
+
 // fuzzTarget runs one surface's full budget: generations of Batch
 // candidates derived from the corpus state at generation start, executed
 // over the worker pool, folded sequentially in slot order.
@@ -405,8 +454,12 @@ func fuzzTarget(cfg Config, t *Target) (*TargetReport, error) {
 		Outcomes:            make(map[string]int),
 		RediscoveredExec:    -1,
 	}
-	features := make(map[uint32]struct{})
-	edges := make(map[uint32]struct{})
+	// The cumulative coverage: one bit per possible feature and per edge
+	// index, with tr.Features and tr.Edges counting the bits set. A new
+	// edge always brings a new feature, so edges grow only with fresh
+	// features.
+	features := newBitset(cpu.CovSize * 8)
+	edges := newBitset(cpu.CovSize)
 	findings := make(map[string]*Finding)
 	var corpus [][]byte
 
@@ -417,26 +470,13 @@ func fuzzTarget(cfg Config, t *Target) (*TargetReport, error) {
 		if rem := cfg.Execs - tr.Execs; batch > rem {
 			batch = rem
 		}
-		// Derive the whole generation from the corpus state at its start;
-		// the fold below mutates the corpus only after every candidate of
-		// the generation is fixed, so the schedule is worker-independent.
-		cands := make([][]byte, batch)
-		for k := range cands {
-			idx := tr.Execs + k
-			if idx < len(t.Seeds) {
-				cands[k] = t.Seeds[idx]
-				continue
-			}
-			rng := rand.New(rand.NewSource(slotSeed(cfg.Seed, gen, k)))
-			parents := corpus
-			if len(parents) == 0 {
-				parents = t.Seeds
-			}
-			cands[k] = mutate(rng, parents, t.Dict, t.MaxLen)
-		}
+		// Every slot derives its candidate on its worker from the state at
+		// generation start, so the schedule is worker-independent; the
+		// fold below grows the corpus only after the pool returns.
+		g := genState{seed: cfg.Seed, gen: gen, execs: tr.Execs, corp: corpus}
 		results, _, _ := campaign.ForEachGuarded(batch, cfg.Workers, opts,
 			func(i, attempt int) (execResult, error) {
-				return runOne(t, cands[i]), nil
+				return runOne(t, g.candidate(t, i)), nil
 			})
 		for k, r := range results {
 			execIdx := tr.Execs + k
@@ -456,7 +496,7 @@ func fuzzTarget(cfg Config, t *Target) (*TargetReport, error) {
 					f = &Finding{
 						Fingerprint: fp,
 						Class:       label,
-						Input:       hexBytes(cands[k]),
+						Input:       hexBytes(r.input),
 						Evidence:    r.out.String(),
 						FirstExec:   execIdx,
 						Scripted:    fp == t.scriptedFP,
@@ -492,8 +532,8 @@ func fuzzTarget(cfg Config, t *Target) (*TargetReport, error) {
 					}
 				}
 				f.Count++
-				if hexLen(f.Input) > len(cands[k]) {
-					f.Input = hexBytes(cands[k])
+				if hexLen(f.Input) > len(r.input) {
+					f.Input = hexBytes(r.input)
 				}
 			}
 
@@ -501,18 +541,18 @@ func fuzzTarget(cfg Config, t *Target) (*TargetReport, error) {
 			// run touched earns a (minimized) corpus slot.
 			var fresh []uint32
 			for _, ft := range r.feats {
-				if _, seen := features[ft]; !seen {
+				if features.add(ft) {
 					fresh = append(fresh, ft)
+					if edges.add(ft / 8) {
+						tr.Edges++
+					}
 				}
 			}
 			if len(fresh) == 0 {
 				continue
 			}
-			for _, ft := range r.feats {
-				features[ft] = struct{}{}
-				edges[ft/8] = struct{}{}
-			}
-			input := cands[k]
+			tr.Features += len(fresh)
+			input := r.input
 			if cfg.TrimLimit > 0 {
 				var spent int
 				input, spent = trimEntry(t, input, fresh, cfg.TrimLimit)
@@ -530,8 +570,6 @@ func fuzzTarget(cfg Config, t *Target) (*TargetReport, error) {
 		gen++
 	}
 
-	tr.Edges = len(edges)
-	tr.Features = len(features)
 	tr.CorpusSize = len(corpus)
 	for _, f := range findings {
 		tr.Findings = append(tr.Findings, f)
@@ -569,6 +607,9 @@ func stopRequested(stop <-chan struct{}) bool {
 // partial report carries Interrupted.
 func Fuzz(cfg Config, targets []*Target) (*Report, error) {
 	cfg.setDefaults()
+	if cfg.Batch > MaxBatch {
+		return nil, fmt.Errorf("batch %d exceeds the maximum generation size %d", cfg.Batch, MaxBatch)
+	}
 	rep := &Report{
 		Seed:    cfg.Seed,
 		Policy:  cfg.Policy.String(),

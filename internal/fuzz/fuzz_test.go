@@ -2,6 +2,7 @@ package fuzz
 
 import (
 	"encoding/json"
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
@@ -288,6 +289,31 @@ func TestMutateDeterministic(t *testing.T) {
 			if len(a) == 0 || len(a) > 64 {
 				t.Fatalf("gen %d slot %d: bad length %d", gen, slot, len(a))
 			}
+		}
+	}
+}
+
+// TestBatchLimit: slot seeds pack the slot into 20 bits, so Fuzz rejects
+// a generation above MaxBatch rather than reuse a seed across
+// generations. At the limit itself, the last slot of one generation and
+// slot 0 of the next still get different seeds.
+func TestBatchLimit(t *testing.T) {
+	_, err := Fuzz(Config{Seed: 1, Execs: 8, Batch: MaxBatch + 1}, nil)
+	if err == nil {
+		t.Fatal("Fuzz accepted a batch above MaxBatch")
+	}
+	if _, err := Fuzz(Config{Seed: 1, Execs: 8, Batch: MaxBatch}, nil); err != nil {
+		t.Fatalf("Fuzz rejected a batch of MaxBatch: %v", err)
+	}
+	seen := map[int64]string{}
+	for gen := 0; gen < 3; gen++ {
+		for _, slot := range []int{0, 1, MaxBatch - 1} {
+			s := slotSeed(1, gen, slot)
+			at := fmt.Sprintf("gen %d slot %d", gen, slot)
+			if prev, dup := seen[s]; dup {
+				t.Fatalf("%s reuses the seed of %s", at, prev)
+			}
+			seen[s] = at
 		}
 	}
 }

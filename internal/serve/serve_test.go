@@ -213,19 +213,46 @@ func TestShedHighWater(t *testing.T) {
 	}
 }
 
+// holdBudget sizes a runaway run to hold a worker for about hold on this
+// build and host: it times a probe run of a fixed budget through the
+// server and scales the budget by the measured rate, clamped to
+// [probe, limit]. The race detector slows the guest about twentyfold, so
+// no fixed budget both outlasts the test's requests without it and ends
+// well inside the session deadline with it.
+func holdBudget(t *testing.T, url string, hold time.Duration, limit uint64) uint64 {
+	t.Helper()
+	const probe = 1_000_000
+	start := time.Now()
+	code, res := submit(t, url, serve.SessionRequest{
+		Tenant: "probe", Kind: "run", Source: "main: j main\n", Budget: probe,
+	})
+	took := time.Since(start)
+	if code != http.StatusOK || res.Outcomes["timeout"] != 1 {
+		t.Fatalf("probe run: code %d, outcomes %v", code, res.Outcomes)
+	}
+	n := uint64(float64(probe) * hold.Seconds() / took.Seconds())
+	return min(max(n, probe), limit)
+}
+
 // TestTenantCapAndQueueBackpressure: one slow tenant session holds the
 // single worker; the tenant's next submission trips the per-tenant cap
 // (429), and once the one-deep queue is full a third tenant gets queue
-// backpressure (429 + Retry-After). All admitted work still completes.
+// backpressure (429 + Retry-After). All admitted work still completes,
+// and the slow session ends by its step budget, not by the deadline.
 func TestTenantCapAndQueueBackpressure(t *testing.T) {
 	cfg := runOnlyConfig()
 	cfg.Workers = 1
 	cfg.QueueDepth = 1
 	cfg.MaxPerTenant = 1
-	cfg.Containment.Budget = 60_000_000 // a runaway run long enough to hold the worker
+	cfg.Containment.Budget = 60_000_000 // quota for the calibrated hold below
 	_, hs := newServer(t, cfg)
 
-	slow := serve.SessionRequest{Tenant: "slow", Kind: "run", Source: "main: j main\n"}
+	// About 2 s of guest work: ample for the requests below, and a tenth
+	// of the 30 s deadline, so the session ends by budget even on a host
+	// several times slower than the probe measured.
+	budget := holdBudget(t, hs.URL, 2*time.Second, cfg.Containment.Budget)
+	slow := serve.SessionRequest{Tenant: "slow", Kind: "run", Source: "main: j main\n", Budget: budget}
+	holdStart := time.Now()
 	firstDone := make(chan serve.SessionResult, 1)
 	go func() {
 		_, res := submit(t, hs.URL, slow)
@@ -268,6 +295,7 @@ func TestTenantCapAndQueueBackpressure(t *testing.T) {
 	if res := <-firstDone; res.Outcomes["timeout"] != 1 {
 		t.Errorf("slow session should contain to timeout, got %+v", res.Outcomes)
 	}
+	t.Logf("hold: budget %d instructions, %v", budget, time.Since(holdStart).Round(time.Millisecond))
 	if c := <-queuedDone; c != http.StatusOK {
 		t.Errorf("queued session: code %d, want 200", c)
 	}
