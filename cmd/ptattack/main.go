@@ -30,11 +30,11 @@ func main() {
 	}
 }
 
-func run(args []string, w io.Writer) error {
+func run(args []string, w io.Writer) (err error) {
 	fs := flag.NewFlagSet("ptattack", flag.ContinueOnError)
 	policyName := fs.String("policy", "pointer", "detection policy: pointer, control, off")
 	prov := fs.Bool("prov", false, "record taint provenance; detections print their origin chains")
-	tracePath := fs.String("trace", "", "stream structured trace events as JSONL to this file (single scenario at a time)")
+	tracePath := fs.String("trace", "", "stream structured trace events as JSONL to this file, every named scenario in order")
 	ct := core.DefaultContainment()
 	ct.AddFlags(fs)
 	if err := fs.Parse(args); err != nil {
@@ -46,12 +46,17 @@ func run(args []string, w io.Writer) error {
 	}
 	opts := attack.Options{Policy: policy, Budget: ct.Budget, MemLimit: ct.MemLimit, Provenance: *prov}
 	if *tracePath != "" {
-		f, err := os.Create(*tracePath)
-		if err != nil {
-			return err
+		f, cerr := os.Create(*tracePath)
+		if cerr != nil {
+			return cerr
 		}
-		defer f.Close()
-		opts.Events = f
+		tf := &traceFile{File: f}
+		opts.Events = tf
+		defer func() {
+			if terr := tf.Close(); err == nil && terr != nil {
+				err = fmt.Errorf("trace: %w", terr)
+			}
+		}()
 	}
 
 	names := fs.Args()
@@ -75,6 +80,29 @@ func run(args []string, w io.Writer) error {
 		}
 	}
 	return nil
+}
+
+// traceFile is the -trace destination. The event stream swallows write
+// errors so a full disk never faults the guest; traceFile remembers the
+// first one and stops writing, and Close reports it.
+type traceFile struct {
+	*os.File
+	err error
+}
+
+func (t *traceFile) Write(p []byte) (n int, err error) {
+	if t.err == nil {
+		n, t.err = t.File.Write(p)
+	}
+	return n, t.err
+}
+
+// Close closes the file and returns the first write or close error.
+func (t *traceFile) Close() error {
+	if err := t.File.Close(); t.err == nil {
+		t.err = err
+	}
+	return t.err
 }
 
 // indent re-indents every line after the first by prefix.

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -48,6 +50,63 @@ func TestRunProvenanceTrace(t *testing.T) {
 	}
 	if len(data) == 0 {
 		t.Error("trace file is empty")
+	}
+}
+
+// TestProvTraceGolden: over every scenario, the -prov stdout and the
+// -trace JSONL hash to the values in testdata, recorded from the
+// standalone scenario tracer this CLI replaced.
+func TestProvTraceGolden(t *testing.T) {
+	data, err := os.ReadFile("testdata/prov-trace-golden.sha256")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]string{}
+	for _, line := range strings.Split(string(data), "\n") {
+		if line = strings.TrimSpace(line); line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		name, sum, ok := strings.Cut(line, " ")
+		if !ok {
+			t.Fatalf("golden: malformed line %q", line)
+		}
+		want[name] = sum
+	}
+
+	trace := filepath.Join(t.TempDir(), "all.jsonl")
+	var out strings.Builder
+	if err := run([]string{"-prov", "-trace", trace}, &out); err != nil {
+		t.Fatal(err)
+	}
+	jsonl, err := os.ReadFile(trace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, got := range map[string][]byte{"stdout": []byte(out.String()), "trace": jsonl} {
+		if sum := fmt.Sprintf("%x", sha256.Sum256(got)); sum != want[name] {
+			t.Errorf("%s sha256 = %s, want %s", name, sum, want[name])
+		}
+	}
+}
+
+// TestRunTraceWriteError: a -trace destination that refuses writes fails
+// the command with its path, after every scenario has run and printed.
+func TestRunTraceWriteError(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full:", err)
+	}
+	var out strings.Builder
+	err := run([]string{"-prov", "-trace", "/dev/full", "exp1", "exp2"}, &out)
+	if err == nil || !strings.Contains(err.Error(), "/dev/full") {
+		t.Fatalf("err = %v, want a write error naming /dev/full", err)
+	}
+	for _, name := range []string{"exp1", "exp2"} {
+		if !strings.Contains(out.String(), name+" ") {
+			t.Errorf("%s did not run:\n%s", name, out.String())
+		}
+	}
+	if !strings.Contains(out.String(), "DETECTED") {
+		t.Errorf("the guest run was disturbed:\n%s", out.String())
 	}
 }
 

@@ -20,6 +20,7 @@ import (
 	"strings"
 
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/taint"
 )
 
@@ -69,7 +70,7 @@ func run(args []string) (int, error) {
 	prov := fs.Bool("prov", false, "record taint provenance; an alert prints its origin chain")
 	statsJSON := fs.String("stats-json", "", "write the machine-wide metrics snapshot as JSON (- = stdout)")
 	traceEvents := fs.String("trace-events", "", "write structured trace events as JSONL to this file")
-	traceChrome := fs.String("trace-chrome", "", "write trace events as a Chrome trace_event document")
+	traceChrome := fs.String("trace-chrome", "", "write a Chrome trace_event document: build and guest-run spans, trace events inside guest-run")
 	var files fileList
 	fs.Var(&files, "file", "seed guest file: guestpath:hostpath (repeatable)")
 	ct := core.DefaultContainment()
@@ -100,15 +101,19 @@ func run(args []string) (int, error) {
 		Reference:  !*fast,
 		Provenance: *prov,
 	})
-	if *traceEvents != "" || *traceChrome != "" {
-		cfg.TraceEvents = -1 // default ring capacity
-	}
+	cfg.TraceEvents = *traceEvents != "" || *traceChrome != ""
+	// Harness spans frame the guest's event stream: the Chrome export
+	// nests the instruction-level instants under the guest-run span, so
+	// the trace reads top-down from harness to guest.
+	tr := obs.NewTracer(0)
+	bs := tr.Start(nil, "build")
 	var m *core.Machine
 	if strings.HasSuffix(progPath, ".s") {
 		m, err = core.BuildASM(cfg, string(src))
 	} else {
 		m, err = core.BuildC(cfg, string(src))
 	}
+	bs.End()
 	if err != nil {
 		return 0, err
 	}
@@ -137,7 +142,9 @@ func run(args []string) (int, error) {
 		m.WriteFile(guest, data)
 	}
 
+	gs := tr.Start(nil, "guest-run")
 	runErr := m.Run()
+	gs.End()
 	fmt.Print(m.Stdout())
 	if m.Stderr() != "" {
 		fmt.Fprint(os.Stderr, m.Stderr())
@@ -174,7 +181,10 @@ func run(args []string) (int, error) {
 		}
 	}
 	if *traceChrome != "" {
-		if err := writeExport(*traceChrome, m.ExportChromeTrace); err != nil {
+		chrome := func(w io.Writer) error {
+			return obs.ComposeChrome(w, tr.Records(), "guest-run", m.Events())
+		}
+		if err := writeExport(*traceChrome, chrome); err != nil {
 			return 0, fmt.Errorf("trace-chrome: %w", err)
 		}
 	}

@@ -126,17 +126,17 @@ type Config struct {
 	// naming the exact input bytes that made the dereferenced value
 	// tainted. Requires flat memory (incompatible with WithCache).
 	Provenance bool
-	// TraceEvents attaches a structured trace-event ring buffer of the
-	// given capacity (negative selects the default, 4096). Events record
-	// taint births, pointer-taint propagation, dereference checks,
-	// alerts, and syscalls; export them with ExportEventsJSONL or
-	// ExportChromeTrace.
-	TraceEvents int
+	// TraceEvents attaches a structured trace-event ring that keeps the
+	// most recent cpu.DefaultEventCap events for export after the run.
+	// Events record taint births, pointer-taint propagation, dereference
+	// checks, alerts, and syscalls; read them with Events or
+	// ExportEventsJSONL.
+	TraceEvents bool
 	// Events, when non-nil, receives every structured trace event as
-	// JSONL while the machine runs (on a default-sized ring unless
-	// TraceEvents sets one). Subscribers run on the emitting goroutine
-	// unsynchronized, so one writer must not be shared by machines that
-	// run concurrently.
+	// JSONL while the machine runs. On its own it keeps no ring (the
+	// stream is the record); set TraceEvents too to keep one. Subscribers
+	// run on the emitting goroutine unsynchronized, so one writer must not
+	// be shared by machines that run concurrently.
 	Events io.Writer
 }
 
@@ -239,8 +239,12 @@ func BootImage(cfg Config, im *asm.Image) (machine *Machine, err error) {
 			return nil, fmt.Errorf("boot %s: %w", name, err)
 		}
 	}
-	if cfg.TraceEvents != 0 || cfg.Events != nil {
-		sink := c.EnableEvents(max(cfg.TraceEvents, 0)) // 0 picks the default
+	if cfg.TraceEvents || cfg.Events != nil {
+		capacity := 0
+		if cfg.TraceEvents {
+			capacity = cpu.DefaultEventCap
+		}
+		sink := c.EnableEvents(capacity)
 		if cfg.Events != nil {
 			sink.Stream(cpu.StreamJSONL(cfg.Events))
 		}
@@ -422,8 +426,8 @@ func (m *Machine) Metrics() metrics.Snapshot {
 }
 
 // Events returns the structured trace events recorded so far (oldest
-// first; the ring keeps only the most recent Config.TraceEvents entries).
-// Empty without Config.TraceEvents or Config.Events.
+// first; the ring keeps only the most recent cpu.DefaultEventCap).
+// Empty unless Config.TraceEvents or SetTracer attached a ring.
 func (m *Machine) Events() []cpu.Event {
 	if s := m.CPU.Events(); s != nil {
 		return s.Events()
@@ -443,10 +447,4 @@ func (m *Machine) EventsDropped() uint64 {
 // object per line.
 func (m *Machine) ExportEventsJSONL(w io.Writer) error {
 	return cpu.WriteEventsJSONL(w, m.Events())
-}
-
-// ExportChromeTrace writes the recorded trace events as a Chrome
-// trace_event document loadable in chrome://tracing or Perfetto.
-func (m *Machine) ExportChromeTrace(w io.Writer) error {
-	return cpu.WriteChromeTrace(w, m.Events())
 }

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"strings"
 	"testing"
+
+	"repro/internal/cpu"
 )
 
 func TestQuickstartHello(t *testing.T) {
@@ -249,7 +251,7 @@ func TestCacheMissesRaiseCPI(t *testing.T) {
 // entry point shares: each must reach the machine BootImage assembles.
 func TestConfigReachesGuest(t *testing.T) {
 	const idle = `int main() { return 0; }`
-	var events bytes.Buffer
+	var events, streamed bytes.Buffer
 	cases := []struct {
 		name    string
 		cfg     Config
@@ -294,6 +296,39 @@ func TestConfigReachesGuest(t *testing.T) {
 				if !strings.Contains(events.String(), `"kind":"input"`) ||
 					!strings.Contains(events.String(), "argv[1] 3 bytes") {
 					t.Errorf("events stream lacks the argv[1] input birth:\n%s", events.String())
+				}
+			},
+		},
+		{
+			name: "events stream alone keeps no ring",
+			cfg:  Config{Events: &streamed},
+			src:  idle,
+			check: func(t *testing.T, m *Machine) {
+				if err := m.Run(); err != nil {
+					t.Fatal(err)
+				}
+				if !strings.Contains(streamed.String(), `"kind":"syscall"`) {
+					t.Fatalf("no syscall event streamed:\n%s", streamed.String())
+				}
+				if evs := m.Events(); len(evs) != 0 {
+					t.Errorf("stream-only machine kept %d ring events", len(evs))
+				}
+				if got := m.EventsDropped(); got != 0 {
+					t.Errorf("EventsDropped = %d, want 0 without a ring", got)
+				}
+			},
+		},
+		{
+			name: "TraceEvents keeps a ring",
+			cfg:  Config{TraceEvents: true},
+			src:  idle,
+			check: func(t *testing.T, m *Machine) {
+				if err := m.Run(); err != nil {
+					t.Fatal(err)
+				}
+				evs := m.Events()
+				if len(evs) == 0 || evs[len(evs)-1].Kind != cpu.EvSyscall {
+					t.Errorf("ring kept %v, want events ending in the exit syscall", evs)
 				}
 			},
 		},

@@ -93,7 +93,8 @@ type EventSink struct {
 	streams []func(Event)
 }
 
-// DefaultEventCap is the ring capacity used when none is given.
+// DefaultEventCap is the ring capacity of a sink whose events are
+// exported after the run (core.Config.TraceEvents, the text tracer).
 const DefaultEventCap = 4096
 
 // NewEventSink returns a sink with the given ring capacity (<= 0 means
@@ -151,15 +152,13 @@ func (s *EventSink) Dropped() uint64 {
 	return s.total - uint64(cap(s.buf))
 }
 
-// EnableEvents attaches an event sink with the given ring capacity (<= 0
-// selects DefaultEventCap) and returns it; if a sink is already attached
-// it is returned unchanged. Emission adds one nil check to the paths that
-// can produce events; with no sink attached the machine is untouched.
+// EnableEvents attaches an event sink with the given ring capacity, read
+// as NewEventSink reads it (0 keeps no ring: events only reach stream
+// subscribers), and returns it; if a sink is already attached it is
+// returned unchanged. Emission adds one nil check to the paths that can
+// produce events; with no sink attached the machine is untouched.
 func (c *CPU) EnableEvents(capacity int) *EventSink {
 	if c.events == nil {
-		if capacity <= 0 {
-			capacity = DefaultEventCap
-		}
 		c.events = NewEventSink(capacity)
 	}
 	return c.events
@@ -232,7 +231,8 @@ func (e Event) MarshalJSON() ([]byte, error) { return json.Marshal(e.wire()) }
 
 // StreamJSONL returns a Stream subscriber that writes each event to w as
 // one JSON line the moment it is emitted — the ptattack -trace hook.
-// Encoding errors are swallowed (a broken pipe must not fault the guest).
+// Encoding errors are swallowed (a broken pipe must not fault the guest);
+// a caller that must report them wraps w to remember the first one.
 func StreamJSONL(w io.Writer) func(Event) {
 	enc := json.NewEncoder(w)
 	return func(e Event) { _ = enc.Encode(e.wire()) }
@@ -247,40 +247,4 @@ func WriteEventsJSONL(w io.Writer, evs []Event) error {
 		}
 	}
 	return nil
-}
-
-// chromeEvent is one entry of the Chrome trace_event format
-// (chrome://tracing, Perfetto): instant events on one synthetic thread,
-// with the retired-instruction count standing in for microseconds.
-type chromeEvent struct {
-	Name  string    `json:"name"`
-	Phase string    `json:"ph"`
-	TS    uint64    `json:"ts"`
-	PID   int       `json:"pid"`
-	TID   int       `json:"tid"`
-	Scope string    `json:"s,omitempty"`
-	Args  eventJSON `json:"args"`
-}
-
-// WriteChromeTrace writes the events as a Chrome trace_event JSON
-// document ({"traceEvents": [...]}) loadable in chrome://tracing.
-func WriteChromeTrace(w io.Writer, evs []Event) error {
-	doc := struct {
-		TraceEvents []chromeEvent `json:"traceEvents"`
-		Unit        string        `json:"displayTimeUnit"`
-	}{TraceEvents: make([]chromeEvent, 0, len(evs)), Unit: "ns"}
-	for _, e := range evs {
-		doc.TraceEvents = append(doc.TraceEvents, chromeEvent{
-			Name:  e.Kind.String(),
-			Phase: "i",
-			TS:    e.Instrs,
-			PID:   1,
-			TID:   1,
-			Scope: "t",
-			Args:  e.wire(),
-		})
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(doc)
 }

@@ -83,6 +83,35 @@ func TestEventSinkStreamOnly(t *testing.T) {
 	}
 }
 
+// TestEventSinkEnableZeroStreamOnly: EnableEvents reads its capacity as
+// NewEventSink does, so 0 attaches a stream-only sink. A running machine
+// streams every event it emits, and the sink keeps and drops none.
+func TestEventSinkEnableZeroStreamOnly(t *testing.T) {
+	c, _ := bootTrace(t)
+	s := c.EnableEvents(0)
+	if again := c.EnableEvents(DefaultEventCap); again != s {
+		t.Fatal("EnableEvents replaced an attached sink")
+	}
+	var kinds []EventKind
+	s.Stream(func(e Event) { kinds = append(kinds, e.Kind) })
+	c.NoteSnapshot()
+	if err := c.Run(100); err != nil {
+		t.Fatal(err)
+	}
+	if len(kinds) != 2 || kinds[0] != EvSnapshot || kinds[1] != EvSyscall {
+		t.Fatalf("stream saw %v, want [snapshot syscall]", kinds)
+	}
+	if got := s.Total(); got != uint64(len(kinds)) {
+		t.Errorf("Total = %d, want %d", got, len(kinds))
+	}
+	if evs := s.Events(); len(evs) != 0 {
+		t.Errorf("stream-only sink kept %d ring events", len(evs))
+	}
+	if got := s.Dropped(); got != 0 {
+		t.Errorf("Dropped = %d, want 0 without a ring", got)
+	}
+}
+
 // TestEventSinkStreamSeesOverwritten: stream subscribers observe every
 // emission, including those the ring later overwrites.
 func TestEventSinkStreamSeesOverwritten(t *testing.T) {
@@ -139,32 +168,6 @@ func TestWriteEventsJSONLWire(t *testing.T) {
 	}
 	if second["kind"] != "snapshot" {
 		t.Errorf("line 2 kind = %v", second["kind"])
-	}
-}
-
-func TestWriteChromeTrace(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteChromeTrace(&buf, mkEvents(3)); err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		TraceEvents []struct {
-			Name  string `json:"name"`
-			Phase string `json:"ph"`
-			TS    uint64 `json:"ts"`
-			PID   int    `json:"pid"`
-		} `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
-		t.Fatalf("not a trace_event document: %v", err)
-	}
-	if len(doc.TraceEvents) != 3 {
-		t.Fatalf("doc has %d events, want 3", len(doc.TraceEvents))
-	}
-	for i, e := range doc.TraceEvents {
-		if e.Name != "syscall" || e.Phase != "i" || e.TS != uint64(i) || e.PID != 1 {
-			t.Errorf("event %d = %+v", i, e)
-		}
 	}
 }
 

@@ -24,7 +24,7 @@ func (c *CPU) SetTracer(w io.Writer, limit uint64) {
 	c.traceLimit = limit
 	c.traced = 0
 	if w != nil {
-		c.EnableEvents(0)
+		c.EnableEvents(DefaultEventCap)
 	}
 }
 

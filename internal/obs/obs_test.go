@@ -192,6 +192,39 @@ func TestComposeChromeNestsGuestEvents(t *testing.T) {
 	checkGuestEventsNested(t, tr.Records())
 }
 
+// TestComposeChromeNoSpans: with no spans (and so no guest span to map
+// onto) every guest event is an instant on pid 1 stamped with its
+// retired-instruction count.
+func TestComposeChromeNoSpans(t *testing.T) {
+	evs := make([]cpu.Event, 3)
+	for i := range evs {
+		evs[i] = cpu.Event{Kind: cpu.EvSyscall, Instrs: uint64(i), PC: uint32(0x1000 + 4*i)}
+	}
+	var buf bytes.Buffer
+	if err := ComposeChrome(&buf, nil, "", evs); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Name  string `json:"name"`
+			Phase string `json:"ph"`
+			TS    uint64 `json:"ts"`
+			PID   int    `json:"pid"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatalf("not a trace_event document: %v", err)
+	}
+	if len(doc.TraceEvents) != len(evs) {
+		t.Fatalf("doc has %d events, want %d", len(doc.TraceEvents), len(evs))
+	}
+	for i, e := range doc.TraceEvents {
+		if e.Name != "syscall" || e.Phase != "i" || e.TS != uint64(i) || e.PID != 1 {
+			t.Errorf("event %d = %+v", i, e)
+		}
+	}
+}
+
 // TestComposeChromeMaxEventAtSpanEnd pins span timings for which scaling
 // by n/max after the multiply rounds the max-instruction event one ulp
 // past the guest span's end.

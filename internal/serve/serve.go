@@ -94,9 +94,6 @@ type Config struct {
 	// since the profile endpoints expose host internals to any tenant
 	// that can reach the listener.
 	Pprof bool
-	// EventCap is the per-session event-sink ring capacity for run-kind
-	// sessions streaming over SSE (default cpu.DefaultEventCap).
-	EventCap int
 	// Logf receives operational log lines (nil = silent).
 	Logf func(format string, args ...any)
 }

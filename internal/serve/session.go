@@ -173,7 +173,8 @@ func (s *Server) runOne(j *job, res *SessionResult) {
 			if err != nil {
 				return attack.Outcome{}, fmt.Errorf("boot: %w", err)
 			}
-			sink := m.CPU.EnableEvents(s.cfg.EventCap)
+			// Stream-only: the SSE hub keeps its own replay buffer.
+			sink := m.CPU.EnableEvents(0)
 			sink.Stream(func(e cpu.Event) { s.hub.publish(j.id, e) })
 			gsp := j.tr.Start(nil, "guest-run")
 			tr := m.Run()
