@@ -14,12 +14,14 @@ build:
 vet:
 	$(GO) vet ./...
 
-# Static checks beyond vet: the custom guest-memory taint-discipline
-# analyzer (internal/lint/taintaccess) over the whole tree, then the
-# pointer-taintedness static analyzer (ptlint) over the entire corpus —
-# any panic or analysis error fails the build; unsound verdicts are
-# caught by the soundness tests in internal/attack (run via test/ci).
+# Static checks beyond vet: gofmt drift anywhere in the tree, the custom
+# guest-memory taint-discipline analyzer (internal/lint/taintaccess) over
+# the whole tree, then the pointer-taintedness static analyzer (ptlint)
+# over the entire corpus — any panic or analysis error fails the build;
+# unsound verdicts are caught by the soundness tests in internal/attack
+# (run via test/ci).
 lint: vet
+	test -z "$$(gofmt -l .)"
 	$(GO) run ./cmd/taintlint .
 	$(GO) run ./cmd/ptlint -all -summary
 

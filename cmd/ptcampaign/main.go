@@ -209,10 +209,10 @@ func run(args []string, w *os.File) error {
 		rep.ParallelSkipped = "skipped_single_cpu"
 	} else {
 		t0 := time.Now()
-		campaign.Run(snap, *n, 1, session)
+		campaign.RunGuarded(snap, *n, 1, campaign.GuardOpts{}, session)
 		seq := time.Since(t0)
 		t1 := time.Now()
-		campaign.Run(snap, *n, 4, session)
+		campaign.RunGuarded(snap, *n, 4, campaign.GuardOpts{}, session)
 		par := time.Since(t1)
 		rep.SequentialSec = seq.Seconds()
 		rep.ParallelSec = par.Seconds()

@@ -22,6 +22,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -64,20 +65,23 @@ func run(args []string, w io.Writer) error {
 		return err
 	}
 
+	// When the JSON report goes to stdout it is the only thing there: the
+	// human-readable report moves to stderr.
+	stdout := w
+	if *jsonPath == "-" {
+		w = os.Stderr
+	}
+
 	// SIGINT/SIGTERM drain: stop handing out new runs, finish in-flight
 	// forks, and emit the partial report with its interrupted marker
-	// instead of dropping the campaign.
-	stop := make(chan struct{})
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	defer signal.Stop(sig)
-	go func() {
-		if _, ok := <-sig; ok {
-			fmt.Fprintln(os.Stderr, "ptfault: interrupt — draining in-flight runs")
-			close(stop)
-			signal.Stop(sig)
-		}
-	}()
+	// instead of dropping the campaign. The announcement is deregistered
+	// (deferred last, so first to run) before stop cancels ctx on return.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	defer context.AfterFunc(ctx, func() {
+		stop() // a second signal kills the process
+		fmt.Fprintln(os.Stderr, "ptfault: interrupt — draining in-flight runs")
+	})()
 
 	cfg := fault.Config{
 		Seed:        *seed,
@@ -86,7 +90,7 @@ func run(args []string, w io.Writer) error {
 		Reference:   !*fast,
 		Provenance:  *prov,
 		Containment: ct,
-		Stop:        stop,
+		Stop:        ctx.Done(),
 	}
 	if *targetList != "" {
 		cfg.Targets = strings.Split(*targetList, ",")
@@ -143,7 +147,7 @@ func run(args []string, w io.Writer) error {
 		}
 		data = append(data, '\n')
 		if *jsonPath == "-" {
-			if _, err := w.Write(data); err != nil {
+			if _, err := stdout.Write(data); err != nil {
 				return err
 			}
 		} else if err := os.WriteFile(*jsonPath, data, 0o644); err != nil {

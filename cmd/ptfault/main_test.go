@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -75,5 +76,23 @@ func TestRunFilters(t *testing.T) {
 
 	if err := run([]string{"-n", "4", "-injector", "bogus"}, &out); err == nil {
 		t.Error("unknown injector should fail")
+	}
+}
+
+// TestRunJSONStdout: with -json -, stdout carries the report and nothing
+// else, so it decodes as one JSON document; the table goes to stderr.
+func TestRunJSONStdout(t *testing.T) {
+	var out bytes.Buffer
+	if err := run([]string{"-seed", "1", "-n", "8", "-target", "exp1-stack", "-json", "-"}, &out); err != nil {
+		t.Fatalf("ptfault -json -: %v", err)
+	}
+	var rep struct {
+		Runs int `json:"runs"`
+	}
+	if err := json.Unmarshal(out.Bytes(), &rep); err != nil {
+		t.Fatalf("stdout is not one JSON document: %v\n%s", err, out.String())
+	}
+	if rep.Runs != 8 {
+		t.Errorf("report runs = %d, want 8", rep.Runs)
 	}
 }

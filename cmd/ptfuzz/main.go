@@ -21,6 +21,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -66,20 +67,24 @@ func run(args []string, w io.Writer) error {
 		return fmt.Errorf("-batch %d: at most %d", *batch, fuzz.MaxBatch)
 	}
 
+	// When the JSON report goes to stdout it is the only thing there: the
+	// human-readable report moves to stderr.
+	stdout := w
+	if *jsonPath == "-" {
+		w = os.Stderr
+	}
+
 	// SIGINT/SIGTERM drain: stop admitting new generations, finish
 	// in-flight forks, and emit the partial report with its interrupted
-	// marker instead of dropping the run.
-	stop := make(chan struct{})
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	defer signal.Stop(sig)
-	go func() {
-		if _, ok := <-sig; ok {
-			fmt.Fprintln(os.Stderr, "ptfuzz: interrupt — draining in-flight execs")
-			close(stop)
-			signal.Stop(sig)
-		}
-	}()
+	// marker instead of dropping the run. The announcement is
+	// deregistered (deferred last, so first to run) before stop cancels
+	// ctx on return.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	defer context.AfterFunc(ctx, func() {
+		stop() // a second signal kills the process
+		fmt.Fprintln(os.Stderr, "ptfuzz: interrupt — draining in-flight execs")
+	})()
 
 	cfg := fuzz.Config{
 		Seed:        *seed,
@@ -88,7 +93,7 @@ func run(args []string, w io.Writer) error {
 		Workers:     *parallel,
 		Reference:   !*fast,
 		Containment: ct,
-		Stop:        stop,
+		Stop:        ctx.Done(),
 	}
 	if *targetList != "" {
 		cfg.Targets = strings.Split(*targetList, ",")
@@ -132,7 +137,7 @@ func run(args []string, w io.Writer) error {
 		}
 		data = append(data, '\n')
 		if *jsonPath == "-" {
-			if _, err := w.Write(data); err != nil {
+			if _, err := stdout.Write(data); err != nil {
 				return err
 			}
 		} else if err := os.WriteFile(*jsonPath, data, 0o644); err != nil {
@@ -144,14 +149,14 @@ func run(args []string, w io.Writer) error {
 
 	if *benchPath != "" {
 		bench := map[string]any{
-			"execs":            totalExecs,
-			"trim_execs":       totalTrims,
-			"workers":          *parallel,
-			"engine":           rep.Engine,
-			"fuzz_seconds":     elapsed.Seconds(),
-			"prepare_seconds":  prepElapsed.Seconds(),
-			"execs_per_sec":    execsPerSec,
-			"instrs_per_exec":  float64(totalInstr) / float64(max(totalExecs, 1)),
+			"execs":             totalExecs,
+			"trim_execs":        totalTrims,
+			"workers":           *parallel,
+			"engine":            rep.Engine,
+			"fuzz_seconds":      elapsed.Seconds(),
+			"prepare_seconds":   prepElapsed.Seconds(),
+			"execs_per_sec":     execsPerSec,
+			"instrs_per_exec":   float64(totalInstr) / float64(max(totalExecs, 1)),
 			"min_execs_per_sec": 1000.0,
 		}
 		data, err := json.MarshalIndent(bench, "", "  ")

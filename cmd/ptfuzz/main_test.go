@@ -97,3 +97,23 @@ func TestBatchTooLarge(t *testing.T) {
 		t.Fatalf("want a -batch error, got %v", err)
 	}
 }
+
+// TestRunJSONStdout: with -json -, stdout carries the report and nothing
+// else, so it decodes as one JSON document; the human report goes to
+// stderr.
+func TestRunJSONStdout(t *testing.T) {
+	var out bytes.Buffer
+	if err := run([]string{"-seed", "1", "-execs", "64", "-target", "exp1-stack", "-json", "-"}, &out); err != nil {
+		t.Fatalf("ptfuzz -json -: %v", err)
+	}
+	var rep struct {
+		Seed    int64                      `json:"seed"`
+		Targets map[string]json.RawMessage `json:"targets"`
+	}
+	if err := json.Unmarshal(out.Bytes(), &rep); err != nil {
+		t.Fatalf("stdout is not one JSON document: %v\n%s", err, out.String())
+	}
+	if rep.Seed != 1 || rep.Targets["exp1-stack"] == nil {
+		t.Errorf("report missing fields: %+v", rep)
+	}
+}

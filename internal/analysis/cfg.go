@@ -75,7 +75,7 @@ type program struct {
 	envChanged bool
 }
 
-func (p *program) pcOf(w int) uint32  { return p.textBase + uint32(w)*4 }
+func (p *program) pcOf(w int) uint32 { return p.textBase + uint32(w)*4 }
 func (p *program) idxOf(pc uint32) int {
 	if pc < p.textBase || (pc-p.textBase)%4 != 0 {
 		return -1
@@ -273,12 +273,12 @@ func (p *program) fnContaining(w int) *fn {
 // The stack segment is not a region — it is modeled flow-sensitively by
 // the per-function slot maps, with kStackAny as the catch-all.
 type regionSet struct {
-	starts []uint32 // sorted region start addresses
-	ends   []uint32
-	names  []string
-	t      []Taint
-	src    []uint32
-	why    []uint8
+	starts  []uint32 // sorted region start addresses
+	ends    []uint32
+	names   []string
+	t       []Taint
+	src     []uint32
+	why     []uint8
 	stackLo uint32
 }
 

@@ -29,12 +29,12 @@ const (
 type valKind uint8
 
 const (
-	kUnknown valKind = iota // any value
-	kConst                  // exactly the 32-bit constant in v
-	kSym                    // function-entry $sp plus the signed delta in v
-	kStackAny               // somewhere in the stack segment, offset unknown
-	kRetAddr                // the return address passed to this function in $ra
-	kCallerFP               // the caller's $fp as passed at function entry
+	kUnknown  valKind = iota // any value
+	kConst                   // exactly the 32-bit constant in v
+	kSym                     // function-entry $sp plus the signed delta in v
+	kStackAny                // somewhere in the stack segment, offset unknown
+	kRetAddr                 // the return address passed to this function in $ra
+	kCallerFP                // the caller's $fp as passed at function entry
 )
 
 // Taint origins, for the reaching-taint chains ptlint prints.

@@ -32,26 +32,28 @@ import (
 // DefaultWorkers returns the default fan-out width, GOMAXPROCS.
 func DefaultWorkers() int { return runtime.GOMAXPROCS(0) }
 
-// ForEach runs fn for every index in [0, n) across workers goroutines
-// (sequentially when workers <= 1) and returns the n results in index
-// order, plus every error joined in index order — a failing index never
-// hides later failures. Indices are handed out by an atomic counter, so
-// which worker runs which index is scheduling-dependent, but the output
-// placement is not.
-func ForEach[T any](n, workers int, fn func(i int) (T, error)) ([]T, error) {
-	out, errs, _ := forEachStop(n, workers, nil, fn)
-	return out, errors.Join(errs...)
-}
-
 // ErrStopped marks a slot whose index was never handed out because the
 // pool's Stop channel closed first — admission stopped, in-flight work
 // finished, and the slot holds its zero value.
 var ErrStopped = errors.New("campaign: stopped before the slot was started")
 
-// forEachStop is the pool core behind ForEach and ForEachGuarded: results
-// and per-slot errors land in index order, and a closed stop channel makes
-// workers stop pulling new indices (in-flight indices still complete).
-// Because indices are handed out by a monotonic counter, the started
+// closed reports whether stop has been closed (a nil stop never is).
+func closed(stop <-chan struct{}) bool {
+	select {
+	case <-stop:
+		return true
+	default:
+		return false
+	}
+}
+
+// forEachStop is the pool core behind ForEachGuardedSlots: fn runs for
+// every index in [0, n) across workers goroutines (sequentially when
+// workers <= 1), and results and per-slot errors land in index order.
+// Indices are handed out by an atomic counter, so which worker runs which
+// index is scheduling-dependent, but the output placement is not. A
+// closed stop channel makes workers stop pulling new indices (in-flight
+// indices still complete); because the counter is monotonic, the started
 // prefix is exactly [0, started): every unstarted slot holds the zero
 // value and ErrStopped.
 func forEachStop[T any](n, workers int, stop <-chan struct{}, fn func(i int) (T, error)) (out []T, errs []error, started int) {
@@ -63,20 +65,9 @@ func forEachStop[T any](n, workers int, stop <-chan struct{}, fn func(i int) (T,
 	if workers > n {
 		workers = n
 	}
-	stopped := func() bool {
-		if stop == nil {
-			return false
-		}
-		select {
-		case <-stop:
-			return true
-		default:
-			return false
-		}
-	}
 	if workers <= 1 {
 		i := 0
-		for ; i < n && !stopped(); i++ {
+		for ; i < n && !closed(stop); i++ {
 			out[i], errs[i] = fn(i)
 		}
 		for j := i; j < n; j++ {
@@ -90,7 +81,7 @@ func forEachStop[T any](n, workers int, stop <-chan struct{}, fn func(i int) (T,
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for !stopped() {
+			for !closed(stop) {
 				i := int(atomic.AddInt64(&next, 1))
 				if i >= n {
 					return
@@ -198,13 +189,16 @@ func (e *DeadlineError) Error() string {
 	return fmt.Sprintf("session deadline exceeded (%v)", e.Limit)
 }
 
-// ForEachGuarded is ForEach hardened for fault campaigns: each attempt of
-// fn runs with a panic recover and an optional wall-clock deadline, and a
-// failed index is retried up to opts.Retries times with an incremented
-// attempt number (retry-with-reseed) after a seeded exponential backoff.
-// One wedged or faulted index therefore degrades to an error in its own
-// slot while the rest of the campaign completes. The joined error covers
-// every failed slot in index order.
+// ForEachGuarded runs fn for every index in [0, n) across workers
+// goroutines (sequentially when workers <= 1) and returns the n results in
+// index order. Each attempt of fn runs with a panic recover and an
+// optional wall-clock deadline, and a failed index is retried up to
+// opts.Retries times with an incremented attempt number (retry-with-
+// reseed) after a seeded exponential backoff. One wedged or faulted index
+// therefore degrades to an error in its own slot while the rest of the
+// pool completes. The joined error covers every failed slot in index
+// order, so a failing index never hides later failures. A zero GuardOpts
+// runs each index once with panic recovery only.
 func ForEachGuarded[T any](n, workers int, opts GuardOpts, fn func(i, attempt int) (T, error)) ([]T, GuardStats, error) {
 	out, errs, gs := ForEachGuardedSlots(n, workers, opts, fn)
 	return out, gs, errors.Join(errs...)
@@ -218,17 +212,6 @@ func ForEachGuardedSlots[T any](n, workers int, opts GuardOpts, fn func(i, attem
 	sleep := opts.Sleep
 	if sleep == nil {
 		sleep = time.Sleep
-	}
-	stopped := func() bool {
-		if opts.Stop == nil {
-			return false
-		}
-		select {
-		case <-opts.Stop:
-			return true
-		default:
-			return false
-		}
 	}
 	var retries, backoff int64
 	out, errs, started := forEachStop(n, workers, opts.Stop, func(i int) (T, error) {
@@ -244,7 +227,7 @@ func ForEachGuardedSlots[T any](n, workers int, opts GuardOpts, fn func(i, attem
 			}
 			// A drain in progress makes retrying pointless — the pool is
 			// flushing partial results, not chasing completeness.
-			if attempt >= opts.Retries || stopped() {
+			if attempt >= opts.Retries || closed(opts.Stop) {
 				return zero, err
 			}
 			atomic.AddInt64(&retries, 1)
@@ -308,28 +291,13 @@ type Result struct {
 	Err     error
 }
 
-// Run replays n sessions across workers goroutines, each on a fresh fork
-// of snap, and returns the results in session-index order. A session that
-// panics the host (a corrupted fork, an injection gone wrong) is recovered
-// into that session's Err — it never takes down the pool.
-func Run(snap *attack.Snapshot, n, workers int, session func(i int, m *attack.Machine) (attack.Outcome, error)) []Result {
-	results, _ := ForEach(n, workers, func(i int) (r Result, _ error) {
-		defer func() {
-			if p := recover(); p != nil {
-				r = Result{Index: i, Err: fmt.Errorf("session %d: recovered panic: %v", i, p)}
-			}
-		}()
-		m := snap.Fork()
-		out, err := session(i, m)
-		return Result{Index: i, Outcome: out, Stats: m.CPU.Stats(), Metrics: m.Metrics(), Err: err}, nil
-	})
-	return results
-}
-
-// RunGuarded is Run behind the full pool guard: each session attempt runs
+// RunGuarded replays n sessions across workers goroutines, each on a
+// fresh fork of snap, behind the pool guard: each session attempt runs
 // with panic recovery, an optional wall-clock deadline, and bounded
 // retries with seeded exponential backoff; a closed opts.Stop drains the
-// pool, leaving unstarted slots holding ErrStopped. Results come back in
+// pool, leaving unstarted slots holding ErrStopped. A session that panics
+// the host (a corrupted fork, an injection gone wrong) is recovered into
+// its own Result.Err — it never takes down the pool. Results come back in
 // session-index order with per-slot errors folded into Result.Err, plus
 // the guard's retry/drain accounting. Slots [0, GuardStats.Started) were
 // executed; the rest were abandoned by a drain.
@@ -363,13 +331,13 @@ type Summary struct {
 	// step-budget trips, guest memory-limit trips, recovered run panics.
 	TimedOut int
 	Errors   int
-	// Retries is the pool guard's extra-attempt count for the campaign
-	// (zero for unguarded runs). Summarize cannot see the guard, so the
-	// caller holding the GuardStats fills it in.
+	// Retries is the pool guard's extra-attempt count for the campaign.
+	// Summarize cannot see the guard, so the caller holding the
+	// GuardStats fills it in.
 	Retries int
-	// Outcomes maps each session's primary verdict label (detected /
-	// crashed / timeout / compromised / clean / error) to its count; the
-	// labels partition the sessions, so the values sum to Sessions.
+	// Outcomes maps each session's primary verdict label (see Label) to
+	// its count; the labels partition the sessions, so the values sum to
+	// Sessions.
 	Outcomes map[string]int
 	// Instructions is the total retired across all sessions, measured from
 	// base (normally the snapshot's Stats) — the sessions' own work.
@@ -391,26 +359,7 @@ func Summarize(rs []Result, base cpu.Stats) Summary {
 	hist := metrics.New()
 	h := hist.Histogram("campaign.session_instructions", sessionInstrBounds)
 	for _, r := range rs {
-		var label string
-		switch {
-		case r.Err != nil:
-			s.Errors++
-			label = "error"
-		case r.Outcome.Detected:
-			s.Detected++
-			label = "detected"
-		case r.Outcome.TimedOut:
-			s.TimedOut++
-			label = "timeout"
-		case r.Outcome.Crashed:
-			s.Crashed++
-			label = "crashed"
-		case r.Outcome.Compromised:
-			label = "compromised"
-		default:
-			label = "clean"
-		}
-		s.Outcomes[label]++
+		s.Outcomes[Label(r.Outcome, r.Err)]++
 		if r.Outcome.Compromised {
 			s.Compromised++
 		}
@@ -422,7 +371,29 @@ func Summarize(rs []Result, base cpu.Stats) Summary {
 		s.Metrics = s.Metrics.Merge(r.Metrics)
 	}
 	s.Metrics = s.Metrics.Merge(hist.Snapshot())
+	s.Errors, s.Detected = s.Outcomes["error"], s.Outcomes["detected"]
+	s.TimedOut, s.Crashed = s.Outcomes["timeout"], s.Outcomes["crashed"]
 	return s
+}
+
+// Label maps one session's outcome and error to its primary verdict
+// label — error, detected, timeout, crashed, compromised or clean, in that
+// precedence. The labels partition sessions: Summarize counts them, and
+// ptserve labels its single-run sessions with them.
+func Label(out attack.Outcome, err error) string {
+	switch {
+	case err != nil:
+		return "error"
+	case out.Detected:
+		return "detected"
+	case out.TimedOut:
+		return "timeout"
+	case out.Crashed:
+		return "crashed"
+	case out.Compromised:
+		return "compromised"
+	}
+	return "clean"
 }
 
 // SessionFingerprint renders one result canonically — verdict, evidence,

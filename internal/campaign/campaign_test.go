@@ -34,15 +34,19 @@ func TestParallelMatchesSequential(t *testing.T) {
 			}
 
 			const n = 6
-			seq := Fingerprints(Run(snap, n, 1, session))
-			par := Fingerprints(Run(snap, n, 4, session))
+			run := func(workers int) []Result {
+				rs, _ := RunGuarded(snap, n, workers, GuardOpts{}, session)
+				return rs
+			}
+			seq := Fingerprints(run(1))
+			par := Fingerprints(run(4))
 			for i := range seq {
 				if seq[i] != par[i] {
 					t.Fatalf("session %d differs between sequential and parallel runs:\n seq: %s\n par: %s", i, seq[i], par[i])
 				}
 			}
 
-			sum := Summarize(Run(snap, n, 4, session), snap.Stats())
+			sum := Summarize(run(4), snap.Stats())
 			if sum.Sessions != n || sum.Errors != 0 {
 				t.Fatalf("summary: %+v", sum)
 			}
@@ -82,10 +86,12 @@ func TestSessionsMatchColdTable(t *testing.T) {
 			session := func(i int, m *attack.Machine) (attack.Outcome, error) {
 				return sc.Session(m)
 			}
-			want := SessionFingerprint(Run(snapshot(), 1, 1, session)[0])
+			cold, _ := RunGuarded(snapshot(), 1, 1, GuardOpts{}, session)
+			want := SessionFingerprint(cold[0])
 			snap := snapshot()
 			for _, workers := range []int{4, 1} {
-				for i, r := range Run(snap, 8, workers, session) {
+				rs, _ := RunGuarded(snap, 8, workers, GuardOpts{}, session)
+				for i, r := range rs {
 					if fp := SessionFingerprint(r); fp != want {
 						t.Fatalf("%d workers, session %d differs from the cold-table session:\n got:  %s\n want: %s", workers, i, fp, want)
 					}
@@ -99,7 +105,7 @@ func TestSessionsMatchColdTable(t *testing.T) {
 // others, and results keep index order regardless of worker count.
 func TestForEachCollectsAllErrors(t *testing.T) {
 	for _, workers := range []int{1, 3} {
-		out, err := ForEach(10, workers, func(i int) (int, error) {
+		out, _, err := ForEachGuarded(10, workers, GuardOpts{}, func(i, _ int) (int, error) {
 			if i%4 == 0 {
 				return 0, fmt.Errorf("boom-%d", i)
 			}
@@ -126,7 +132,7 @@ func TestForEachCollectsAllErrors(t *testing.T) {
 
 // TestForEachEmpty: n <= 0 is a no-op.
 func TestForEachEmpty(t *testing.T) {
-	out, err := ForEach(0, 4, func(i int) (int, error) { return i, nil })
+	out, _, err := ForEachGuarded(0, 4, GuardOpts{}, func(i, _ int) (int, error) { return i, nil })
 	if out != nil || err != nil {
 		t.Fatalf("got %v, %v", out, err)
 	}

@@ -157,10 +157,10 @@ func TestForEachGuardedBackoffSchedule(t *testing.T) {
 		var mu sync.Mutex
 		var delays []time.Duration
 		opts := GuardOpts{
-			Retries: 4,
-			Backoff: 10 * time.Millisecond,
+			Retries:    4,
+			Backoff:    10 * time.Millisecond,
 			BackoffMax: 40 * time.Millisecond,
-			Seed:    42,
+			Seed:       42,
 			Sleep: func(d time.Duration) {
 				mu.Lock()
 				delays = append(delays, d)

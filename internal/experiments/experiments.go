@@ -48,7 +48,7 @@ func AllWorkers(workers int) ([]Report, error) {
 		{"overhead", "Section 5.4: architectural and software overhead", formatErr(func() (fmter, error) { return Overhead(1) })},
 		{"ablation", "Design-choice ablations", formatErr(Ablations)},
 	}
-	texts, err := campaign.ForEach(len(runs), workers, func(i int) (string, error) {
+	texts, _, err := campaign.ForEachGuarded(len(runs), workers, campaign.GuardOpts{}, func(i, _ int) (string, error) {
 		text, err := runs[i].run()
 		if err != nil {
 			return "", fmt.Errorf("%s: %w", runs[i].id, err)

@@ -44,7 +44,7 @@ func Fig2Workers(workers int) (Fig2Result, error) {
 			`"abcd" + %x walk + %n over a socket`, "paper: alert at SW in vfprintf, tainted 0x64636261"},
 	}
 	var res Fig2Result
-	rows, err := campaign.ForEach(len(specs), workers, func(i int) (Fig2Row, error) {
+	rows, _, err := campaign.ForEachGuarded(len(specs), workers, campaign.GuardOpts{}, func(i, _ int) (Fig2Row, error) {
 		out, err := specs[i].run(attack.Options{Policy: taint.PolicyPointerTaintedness})
 		if err != nil {
 			return Fig2Row{}, fmt.Errorf("%s: %w", specs[i].program, err)

@@ -82,7 +82,7 @@ func MatrixWorkers(workers int) (MatrixResult, error) {
 	scs := matrixScenarios()
 	// Each (scenario, policy) cell is an independent victim run; fan out
 	// over the flattened cell list, then fold pairs back into rows.
-	cells, err := campaign.ForEach(2*len(scs), workers, func(i int) (attack.Outcome, error) {
+	cells, _, err := campaign.ForEachGuarded(2*len(scs), workers, campaign.GuardOpts{}, func(i, _ int) (attack.Outcome, error) {
 		sc := scs[i/2]
 		policy, policyName := taint.PolicyPointerTaintedness, "pointer-taintedness"
 		if i%2 == 1 {

@@ -66,21 +66,29 @@ func (t *Target) budgetFor() uint64 {
 // /input files, which exercise the taint datapath without any attack.
 var benignSpec = []string{"gzips", "parsers"}
 
+// policy is the taint policy every campaign machine runs: the paper's.
+const policy = taint.PolicyPointerTaintedness
+
 // PrepareTargets boots and snapshots every campaign target: the three
 // replayable attack scenarios and a benign corpus (an exp1 run with a
 // harmless short input, plus SPEC analogues). Preparation runs the
 // control session once per target to calibrate SessionLen and record the
-// control outcome. filter (nil = all) selects targets by name.
+// control outcome. filter selects targets by name; a nil filter selects
+// cfg.Targets (empty = all).
 func PrepareTargets(cfg Config, filter func(name string) bool) ([]*Target, error) {
 	opts := attack.Options{
-		Policy:     cfg.Policy,
+		Policy:     policy,
 		Budget:     cfg.Containment.Budget,
 		MemLimit:   cfg.Containment.MemLimit,
 		Reference:  cfg.Reference,
 		Provenance: cfg.Provenance,
 	}
-	if opts.Policy == 0 {
-		opts.Policy = taint.PolicyPointerTaintedness
+	if filter == nil && len(cfg.Targets) > 0 {
+		want := make(map[string]bool, len(cfg.Targets))
+		for _, n := range cfg.Targets {
+			want[n] = true
+		}
+		filter = func(name string) bool { return want[name] }
 	}
 
 	var targets []*Target
@@ -226,15 +234,14 @@ type Config struct {
 	Runs int
 	// Workers is the fan-out width (0 = campaign.DefaultWorkers()).
 	Workers int
-	// Policy defaults to the paper's pointer-taintedness policy.
-	Policy taint.Policy
 	// Reference forces the reference interpreter for every machine.
 	Reference bool
 	// Provenance records taint provenance on every target, so a
 	// SilentTaintLoss caused by the taint-loss injector names the exact
 	// input origins whose tracking the fault destroyed.
 	Provenance bool
-	// Targets and InjectorNames filter the grid (empty = all).
+	// Targets and InjectorNames filter the grid (empty = all). Targets
+	// also selects what PrepareTargets boots when given no filter.
 	Targets       []string
 	InjectorNames []string
 	// Containment bounds the guests and the pool guard. Budget and
@@ -297,18 +304,18 @@ type TargetReport struct {
 // by strings, so encoding/json renders them in sorted order and the
 // marshaled report is byte-identical for a given seed.
 type Report struct {
-	Seed     int64                    `json:"seed"`
-	Policy   string                   `json:"policy"`
-	Engine   string                   `json:"engine"`
-	Runs     int                      `json:"runs"`
+	Seed   int64  `json:"seed"`
+	Policy string `json:"policy"`
+	Engine string `json:"engine"`
+	Runs   int    `json:"runs"`
 	// Retries is the pool guard's extra-attempt count across the campaign
 	// (panicked or abandoned runs that were re-seeded and re-run).
 	Retries int `json:"retries"`
 	// Interrupted marks a drained campaign (Stop closed mid-run): the
 	// report is the completed prefix, with Skipped slots never started.
-	Interrupted bool           `json:"interrupted,omitempty"`
-	Skipped     int            `json:"skipped,omitempty"`
-	Outcomes    map[string]int `json:"outcomes"`
+	Interrupted bool                     `json:"interrupted,omitempty"`
+	Skipped     int                      `json:"skipped,omitempty"`
+	Outcomes    map[string]int           `json:"outcomes"`
 	Targets     map[string]*TargetReport `json:"targets"`
 	// SilentLosses lists, in run-index order, one line per SilentTaintLoss
 	// run explaining which cleared taint origins were lost (or that
@@ -319,15 +326,10 @@ type Report struct {
 	// Results carries every per-run record in index order (omitted from
 	// compact reports).
 	Results []RunResult `json:"results,omitempty"`
-	// Flights holds the flight records of anomalous runs in index order,
-	// capped at MaxFlights (FlightsDropped counts the excess) — the
-	// forensic artifacts WriteFlights ships to disk.
-	Flights        []*obs.Flight `json:"-"`
-	FlightsDropped int           `json:"flights_dropped,omitempty"`
+	// FlightLedger keeps the flight records of anomalous runs in index
+	// order — the forensic artifacts WriteFlights ships to disk.
+	obs.FlightLedger
 }
-
-// MaxFlights bounds the flight records a report retains in memory.
-const MaxFlights = obs.MaxFlights
 
 // Campaign runs cfg.Runs injected sessions over the prepared targets and
 // aggregates the coverage report. Each run forks its target's snapshot,
@@ -398,7 +400,7 @@ func Campaign(cfg Config, targets []*Target, keepResults bool) (*Report, error) 
 
 	rep := &Report{
 		Seed:        cfg.Seed,
-		Policy:      policyName(cfg.Policy),
+		Policy:      policy.String(),
 		Engine:      engineName(cfg.Reference),
 		Runs:        gs.Started,
 		Retries:     gs.Retries,
@@ -443,16 +445,9 @@ func Campaign(cfg Config, targets []*Target, keepResults bool) (*Report, error) 
 		cell.Outcomes[r.Class]++
 		rep.Outcomes[r.Class]++
 		rep.Metrics = rep.Metrics.Merge(r.Metrics)
-		if r.Flight != nil {
-			// The fold walks results in index order, so the retained
-			// flights are the first MaxFlights anomalies by run index
-			// regardless of worker count.
-			if len(rep.Flights) < MaxFlights {
-				rep.Flights = append(rep.Flights, r.Flight)
-			} else {
-				rep.FlightsDropped++
-			}
-		}
+		// The fold walks results in index order, so the retained flights
+		// are the first anomalies by run index regardless of worker count.
+		rep.Keep(r.Flight)
 		if r.Class == SilentTaintLoss.String() {
 			loss := strings.Join(r.LostTaint, "; ")
 			if loss == "" {
@@ -543,27 +538,6 @@ func runOne(t *Target, in Injector, index int, seed int64) RunResult {
 		)
 	}
 	return r
-}
-
-// WriteFlights writes every retained flight record as a JSONL artifact
-// under dir, returning the paths written.
-func (rep *Report) WriteFlights(dir string) ([]string, error) {
-	var paths []string
-	for _, f := range rep.Flights {
-		p, err := f.WriteFile(dir)
-		if err != nil {
-			return paths, err
-		}
-		paths = append(paths, p)
-	}
-	return paths, nil
-}
-
-func policyName(p taint.Policy) string {
-	if p == 0 {
-		p = taint.PolicyPointerTaintedness
-	}
-	return p.String()
 }
 
 func engineName(reference bool) string {

@@ -3,6 +3,7 @@ package fault
 import (
 	"encoding/json"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -169,3 +170,39 @@ func TestClassifyOutcome(t *testing.T) {
 type errPlain struct{}
 
 func (errPlain) Error() string { return "session broke" }
+
+// TestPrepareTargetsSelection: with no filter, PrepareTargets boots only
+// the targets cfg.Targets names (all of them when it is empty), in the
+// usual attack-then-benign order; an explicit filter takes precedence.
+func TestPrepareTargetsSelection(t *testing.T) {
+	names := func(ts []*Target) string {
+		var out []string
+		for _, tg := range ts {
+			out = append(out, tg.Name)
+		}
+		return strings.Join(out, ",")
+	}
+	cases := []struct {
+		cfg    Config
+		filter func(string) bool
+		want   string
+	}{
+		{Config{Targets: []string{"gzips", "exp1-stack"}}, nil, "exp1-stack,gzips"},
+		{Config{Targets: []string{"gzips"}}, func(n string) bool { return n == "exp2-heap" }, "exp2-heap"},
+	}
+	for _, c := range cases {
+		ts, err := PrepareTargets(c.cfg, c.filter)
+		if err != nil {
+			t.Fatalf("prepare %v: %v", c.cfg.Targets, err)
+		}
+		if got := names(ts); got != c.want {
+			t.Errorf("targets %v: prepared %s, want %s", c.cfg.Targets, got, c.want)
+		}
+	}
+	if got := names(prepare(t, false)); got != "exp1-stack,exp2-heap,wuftpd-site-exec,exp1-benign,gzips,parsers" {
+		t.Errorf("empty Targets prepared %s, want all six", got)
+	}
+	if _, err := PrepareTargets(Config{Targets: []string{"bogus"}}, nil); err == nil {
+		t.Error("a filter matching nothing should fail")
+	}
+}

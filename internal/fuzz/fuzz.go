@@ -50,8 +50,6 @@ type Config struct {
 	// Workers is the pool fan-out (0 = campaign.DefaultWorkers()). It is
 	// NOT part of the schedule: any value yields the same report.
 	Workers int
-	// Policy defaults to the paper's pointer-taintedness policy.
-	Policy taint.Policy
 	// Reference forces the reference interpreter for every machine.
 	Reference bool
 	// Targets filters the fuzzable surfaces by scenario name (empty = all).
@@ -75,10 +73,10 @@ type Config struct {
 	Stop <-chan struct{}
 }
 
+// policy is the taint policy every fuzzed machine runs: the paper's.
+const policy = taint.PolicyPointerTaintedness
+
 func (cfg *Config) setDefaults() {
-	if cfg.Policy == 0 {
-		cfg.Policy = taint.PolicyPointerTaintedness
-	}
 	if cfg.Batch <= 0 {
 		cfg.Batch = 64
 	}
@@ -129,7 +127,7 @@ func PrepareTargets(cfg Config) ([]*Target, error) {
 		want[n] = true
 	}
 	opts := attack.Options{
-		Policy:     cfg.Policy,
+		Policy:     policy,
 		Budget:     cfg.Containment.Budget,
 		MemLimit:   cfg.Containment.MemLimit,
 		Reference:  cfg.Reference,
@@ -247,10 +245,6 @@ type TargetReport struct {
 	// index that first did (-1 otherwise).
 	Rediscovered     bool `json:"rediscovered"`
 	RediscoveredExec int  `json:"rediscovered_exec"`
-	// Flights holds one flight record per newly discovered anomalous
-	// finding (GuestCrash / Timeout / SilentTaintLoss — expected alerts
-	// are findings, not anomalies), in first-exec order.
-	Flights []*obs.Flight `json:"-"`
 	// Instructions is the total guest work across all execs, measured
 	// from the snapshot — identical on both engines.
 	Instructions uint64 `json:"instructions"`
@@ -272,24 +266,10 @@ type Report struct {
 	// Interrupted marks a drained session (Config.Stop closed mid-run):
 	// per-target exec counts cover only the generations that completed.
 	Interrupted bool `json:"interrupted,omitempty"`
-	// Flights aggregates the per-target anomaly flight records in target
-	// order, capped at obs.MaxFlights with the excess counted.
-	Flights        []*obs.Flight `json:"-"`
-	FlightsDropped int           `json:"flights_dropped,omitempty"`
-}
-
-// WriteFlights writes every retained flight record as a JSONL artifact
-// under dir, returning the paths written.
-func (rep *Report) WriteFlights(dir string) ([]string, error) {
-	var paths []string
-	for _, f := range rep.Flights {
-		p, err := f.WriteFile(dir)
-		if err != nil {
-			return paths, err
-		}
-		paths = append(paths, p)
-	}
-	return paths, nil
+	// FlightLedger keeps one flight record per newly discovered anomalous
+	// finding (GuestCrash / Timeout / SilentTaintLoss — expected alerts
+	// are findings, not anomalies), in target then first-exec order.
+	obs.FlightLedger
 }
 
 // execResult is one fork's input and classified run plus its coverage
@@ -445,8 +425,9 @@ func (b bitset) add(i uint32) bool {
 
 // fuzzTarget runs one surface's full budget: generations of Batch
 // candidates derived from the corpus state at generation start, executed
-// over the worker pool, folded sequentially in slot order.
-func fuzzTarget(cfg Config, t *Target) (*TargetReport, error) {
+// over the worker pool, folded sequentially in slot order. Flight records
+// of new anomalous findings go to flights in that order.
+func fuzzTarget(cfg Config, t *Target, flights *obs.FlightLedger) (*TargetReport, error) {
 	name := t.Scenario.Name
 	tr := &TargetReport{
 		Description:         t.Scenario.Description,
@@ -524,7 +505,7 @@ func fuzzTarget(cfg Config, t *Target) (*TargetReport, error) {
 						rec.Note("stats", "", map[string]string{
 							"instructions": fmt.Sprintf("%d", r.instrs),
 						}, nil)
-						tr.Flights = append(tr.Flights, rec.Capture(
+						flights.Keep(rec.Capture(
 							fmt.Sprintf("fuzz-%s-%06d", name, execIdx),
 							label,
 							map[string]string{"target": name, "fingerprint": fp},
@@ -612,27 +593,20 @@ func Fuzz(cfg Config, targets []*Target) (*Report, error) {
 	}
 	rep := &Report{
 		Seed:    cfg.Seed,
-		Policy:  cfg.Policy.String(),
+		Policy:  policy.String(),
 		Engine:  engineName(cfg.Reference),
 		Execs:   cfg.Execs,
 		Batch:   cfg.Batch,
 		Targets: make(map[string]*TargetReport),
 	}
 	for _, t := range targets {
-		tr, err := fuzzTarget(cfg, t)
+		tr, err := fuzzTarget(cfg, t, &rep.FlightLedger)
 		if err != nil {
 			return nil, err
 		}
 		rep.Targets[t.Scenario.Name] = tr
 		if tr.Rediscovered {
 			rep.Rediscovered++
-		}
-		for _, f := range tr.Flights {
-			if len(rep.Flights) < obs.MaxFlights {
-				rep.Flights = append(rep.Flights, f)
-			} else {
-				rep.FlightsDropped++
-			}
 		}
 		if tr.Execs < cfg.Execs && stopRequested(cfg.Stop) {
 			rep.Interrupted = true

@@ -32,7 +32,7 @@ func TestPrepareConcurrentWithSessions(t *testing.T) {
 		if err != nil {
 			return "", err
 		}
-		rs := campaign.Run(snap, 4, 2, func(_ int, m *attack.Machine) (attack.Outcome, error) {
+		rs, _ := campaign.RunGuarded(snap, 4, 2, campaign.GuardOpts{}, func(_ int, m *attack.Machine) (attack.Outcome, error) {
 			return sc.Session(m)
 		})
 		return strings.Join(campaign.Fingerprints(rs), "\n"), nil

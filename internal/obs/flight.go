@@ -25,6 +25,42 @@ type Entry struct {
 // in memory (the excess is counted, never silently lost).
 const MaxFlights = 64
 
+// FlightLedger is the flight-record store campaign-level reports embed:
+// the first MaxFlights records kept in fold order, the rest counted.
+// Only the dropped count is part of a report's JSON.
+type FlightLedger struct {
+	Flights        []*Flight `json:"-"`
+	FlightsDropped int       `json:"flights_dropped,omitempty"`
+}
+
+// Keep retains f if the ledger has room and counts it as dropped
+// otherwise; a nil f (a run that left no flight) is ignored. Callers fold
+// in a deterministic order, so which records are kept does not depend on
+// scheduling.
+func (l *FlightLedger) Keep(f *Flight) {
+	switch {
+	case f == nil:
+	case len(l.Flights) < MaxFlights:
+		l.Flights = append(l.Flights, f)
+	default:
+		l.FlightsDropped++
+	}
+}
+
+// WriteFlights writes every retained flight record as a JSONL artifact
+// under dir, returning the paths written.
+func (l *FlightLedger) WriteFlights(dir string) ([]string, error) {
+	var paths []string
+	for _, f := range l.Flights {
+		p, err := f.WriteFile(dir)
+		if err != nil {
+			return paths, err
+		}
+		paths = append(paths, p)
+	}
+	return paths, nil
+}
+
 // DefaultFlightCap is the ring capacity used when none is given: deep
 // enough for a session's full span tree plus its containment, deopt,
 // and coverage milestones, shallow enough to stay cheap always-on.

@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -169,6 +170,34 @@ func TestFlightWriteFile(t *testing.T) {
 	}
 	if !strings.HasSuffix(path, "crash-0001.jsonl") {
 		t.Fatalf("artifact path = %q", path)
+	}
+}
+
+// TestFlightLedgerCap: the ledger keeps the first MaxFlights records in
+// the order they were offered, counts the rest, ignores nil, and renders
+// only the dropped count in JSON.
+func TestFlightLedgerCap(t *testing.T) {
+	var l FlightLedger
+	l.Keep(nil)
+	for i := 0; i < MaxFlights+3; i++ {
+		l.Keep(&Flight{Name: fmt.Sprintf("f-%03d", i)})
+	}
+	if len(l.Flights) != MaxFlights || l.FlightsDropped != 3 {
+		t.Fatalf("kept %d, dropped %d; want %d, 3", len(l.Flights), l.FlightsDropped, MaxFlights)
+	}
+	if first, last := l.Flights[0].Name, l.Flights[MaxFlights-1].Name; first != "f-000" || last != fmt.Sprintf("f-%03d", MaxFlights-1) {
+		t.Errorf("kept %s..%s, want the first %d in order", first, last, MaxFlights)
+	}
+	data, err := json.Marshal(l)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(data) != `{"flights_dropped":3}` {
+		t.Errorf("ledger JSON = %s", data)
+	}
+	paths, err := l.WriteFlights(t.TempDir())
+	if err != nil || len(paths) != MaxFlights {
+		t.Fatalf("wrote %d artifacts (%v), want %d", len(paths), err, MaxFlights)
 	}
 }
 

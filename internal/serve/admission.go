@@ -4,7 +4,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"slices"
 
+	"repro/internal/fault"
 	"repro/internal/metrics"
 	"repro/internal/obs"
 )
@@ -80,7 +82,7 @@ func (e *admitError) Error() string { return e.reason }
 
 // handleSession is the front door: parse, validate, admit, enqueue, wait.
 func (s *Server) handleSession(w http.ResponseWriter, r *http.Request) {
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
+	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	var req SessionRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		// The body never parsed, so the tenant is unknowable; charge the
@@ -202,23 +204,28 @@ func (s *Server) validate(req *SessionRequest) *admitError {
 			return &admitError{code: http.StatusNotFound,
 				reason: fmt.Sprintf("unknown scenario %q", req.Scenario)}
 		}
-		if req.Sessions < 0 || req.Sessions > s.cfg.MaxSessions {
+		if req.Sessions < 0 || req.Sessions > maxSessions {
 			return &admitError{code: http.StatusUnprocessableEntity,
-				reason: fmt.Sprintf("sessions %d over quota %d", req.Sessions, s.cfg.MaxSessions)}
+				reason: fmt.Sprintf("sessions %d over quota %d", req.Sessions, maxSessions)}
 		}
 	case KindFault:
-		if req.Runs < 0 || req.Runs > s.cfg.MaxRuns {
+		if req.Scenario != "" && !slices.ContainsFunc(s.faultTargets,
+			func(t *fault.Target) bool { return t.Name == req.Scenario }) {
+			return &admitError{code: http.StatusNotFound,
+				reason: fmt.Sprintf("unknown fault target %q", req.Scenario)}
+		}
+		if req.Runs < 0 || req.Runs > maxRuns {
 			return &admitError{code: http.StatusUnprocessableEntity,
-				reason: fmt.Sprintf("runs %d over quota %d", req.Runs, s.cfg.MaxRuns)}
+				reason: fmt.Sprintf("runs %d over quota %d", req.Runs, maxRuns)}
 		}
 	case KindFuzz:
 		if _, ok := s.fuzzTargets[req.Scenario]; !ok {
 			return &admitError{code: http.StatusNotFound,
 				reason: fmt.Sprintf("unknown fuzz target %q", req.Scenario)}
 		}
-		if req.Execs < 0 || req.Execs > s.cfg.MaxExecs {
+		if req.Execs < 0 || req.Execs > maxExecs {
 			return &admitError{code: http.StatusUnprocessableEntity,
-				reason: fmt.Sprintf("execs %d over quota %d", req.Execs, s.cfg.MaxExecs)}
+				reason: fmt.Sprintf("execs %d over quota %d", req.Execs, maxExecs)}
 		}
 	}
 	if req.Budget > s.cfg.Containment.Budget {

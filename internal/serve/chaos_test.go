@@ -87,7 +87,6 @@ func TestChaosHostileTenants(t *testing.T) {
 		Scenarios:      []string{chaosScenario},
 		Containment:    ct,
 		Workers:        4,
-		SessionWorkers: 2,
 		QueueDepth:     32,
 		MaxPerTenant:   8,
 		MaxSourceBytes: 512,

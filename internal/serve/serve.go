@@ -48,28 +48,34 @@ import (
 	"repro/internal/taint"
 )
 
+// Fixed per-request limits.
+const (
+	// sessionWorkers is the fan-out width inside one campaign, fault or
+	// fuzz session. Results are identical at any width; this only bounds
+	// how much host CPU one tenant session can grab.
+	sessionWorkers = 2
+	// maxBodyBytes caps one request body.
+	maxBodyBytes = 1 << 20
+	// maxSessions, maxRuns and maxExecs cap one request's campaign width,
+	// fault-run count and fuzz exec budget.
+	maxSessions = 64
+	maxRuns     = 600
+	maxExecs    = 2000
+)
+
 // Config sizes the service. Zero values select the defaults.
 type Config struct {
 	// Workers is the scheduler shard count — goroutines pulling admitted
 	// sessions off the queue (default GOMAXPROCS, min 1).
 	Workers int
-	// SessionWorkers is the fan-out width inside one campaign session
-	// (default 2). Results are identical at any width; this only bounds
-	// how much host CPU one tenant session can grab.
-	SessionWorkers int
 	// QueueDepth bounds the admission queue (default 64). A full queue is
 	// backpressure: 429 + Retry-After, never an unbounded buffer.
 	QueueDepth int
 	// MaxPerTenant caps one tenant's queued+running sessions (default 4).
 	MaxPerTenant int
-	// MaxBodyBytes caps one request body (default 1 MiB).
-	MaxBodyBytes int64
 	// MaxSourceBytes is the image-size quota for submitted guest source
 	// (default 256 KiB); larger submissions are rejected with 413.
 	MaxSourceBytes int
-	// MaxSessions / MaxRuns / MaxExecs cap one request's campaign width,
-	// fault-run count, and fuzz exec budget (defaults 64 / 600 / 2000).
-	MaxSessions, MaxRuns, MaxExecs int
 	// Containment is the shared guest-containment envelope (zero value:
 	// core.DefaultContainment). Its Budget also bounds what a tenant may
 	// request: asking for more is rejected at admission.
@@ -81,7 +87,8 @@ type Config struct {
 	// MemGauge reads the resident-memory gauge (default: Go heap in use).
 	// Tests override it to force shedding deterministically.
 	MemGauge func() uint64
-	// Scenarios selects which attack scenarios to prepare (default all).
+	// Scenarios names the attack scenarios, fuzz targets and fault
+	// targets to prepare (default all).
 	Scenarios []string
 	// Kinds enables engines: "run", "campaign", "fault", "fuzz" (default
 	// all four).
@@ -102,29 +109,14 @@ func (c *Config) setDefaults() {
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
 	}
-	if c.SessionWorkers <= 0 {
-		c.SessionWorkers = 2
-	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 64
 	}
 	if c.MaxPerTenant <= 0 {
 		c.MaxPerTenant = 4
 	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 1 << 20
-	}
 	if c.MaxSourceBytes <= 0 {
 		c.MaxSourceBytes = 256 << 10
-	}
-	if c.MaxSessions <= 0 {
-		c.MaxSessions = 64
-	}
-	if c.MaxRuns <= 0 {
-		c.MaxRuns = 600
-	}
-	if c.MaxExecs <= 0 {
-		c.MaxExecs = 2000
 	}
 	if c.Containment == (core.Containment{}) {
 		c.Containment = core.DefaultContainment()

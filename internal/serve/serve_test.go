@@ -133,6 +133,51 @@ func TestAdmissionValidation(t *testing.T) {
 	}
 }
 
+// TestFaultScenarioAdmission: the fault kind prepares only the targets
+// Config.Scenarios names. A fault request naming any other target is
+// refused at admission with 404 and charged as rejected, never queued
+// and charged as an error; a request naming none runs over the prepared
+// set.
+func TestFaultScenarioAdmission(t *testing.T) {
+	_, hs := newServer(t, serve.Config{
+		Kinds:     []string{"fault"},
+		Scenarios: []string{"exp1-stack"},
+	})
+
+	for _, scenario := range []string{"bogus", "exp1-benign"} {
+		code, body := post(t, hs.URL, fmt.Sprintf(`{"tenant":"f","kind":"fault","scenario":%q,"runs":4}`, scenario))
+		if code != http.StatusNotFound {
+			t.Errorf("fault scenario %q: code %d, want 404 (%v)", scenario, code, body)
+		}
+	}
+	code, res := submit(t, hs.URL, serve.SessionRequest{Tenant: "f", Kind: "fault", Runs: 7, Seed: 1})
+	if code != http.StatusOK || res.Status != serve.StatusOK {
+		t.Fatalf("fault over the prepared set: code %d, %+v", code, res)
+	}
+	total := 0
+	for _, n := range res.Outcomes {
+		total += n
+	}
+	if total != 7 {
+		t.Errorf("outcomes %v sum to %d, want 7", res.Outcomes, total)
+	}
+
+	snap := metricsJSON(t, hs.URL)
+	for _, want := range []struct {
+		name string
+		v    float64
+	}{
+		{`serve.tenant.submitted{tenant="f"}`, 3},
+		{`serve.tenant.rejected{tenant="f"}`, 2},
+		{`serve.tenant.admitted{tenant="f"}`, 1},
+		{`serve.tenant.errors{tenant="f"}`, 0},
+	} {
+		if got := counter(snap, want.name); got != want.v {
+			t.Errorf("%s = %v, want %v", want.name, got, want.v)
+		}
+	}
+}
+
 // TestRunContainsHostileGuests: the bring-your-own-image surface must
 // resolve runaway loops, memory hogs, and crashers to structured 200
 // responses — containment verdicts, not server failures.

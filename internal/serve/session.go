@@ -191,7 +191,7 @@ func (s *Server) runOne(j *job, res *SessionResult) {
 		return
 	}
 	res.Outcome = out[0].String()
-	res.Outcomes = map[string]int{outcomeLabel(out[0]): 1}
+	res.Outcomes = map[string]int{campaign.Label(out[0], nil): 1}
 }
 
 // runCampaign replays a prepared scenario over snapshot forks.
@@ -206,7 +206,7 @@ func (s *Server) runCampaign(j *job, res *SessionResult) {
 	// ordered by worker timing; only the deterministic sequential stages
 	// (the fork fan-out as a whole, then the merge) get spans.
 	fsp := j.tr.Start(nil, "snapshot-fork")
-	results, gs := campaign.RunGuarded(entry.snap, n, s.cfg.SessionWorkers,
+	results, gs := campaign.RunGuarded(entry.snap, n, sessionWorkers,
 		s.guardOpts(req.Seed),
 		func(i int, m *attack.Machine) (attack.Outcome, error) {
 			return entry.scenario.Session(m)
@@ -244,7 +244,7 @@ func (s *Server) runFault(j *job, res *SessionResult) {
 	cfg := fault.Config{
 		Seed:        req.Seed,
 		Runs:        runs,
-		Workers:     s.cfg.SessionWorkers,
+		Workers:     sessionWorkers,
 		Containment: s.cfg.Containment,
 		Stop:        s.drain,
 	}
@@ -278,7 +278,7 @@ func (s *Server) runFuzz(j *job, res *SessionResult) {
 		Seed:    req.Seed,
 		Execs:   execs,
 		Batch:   32,
-		Workers: s.cfg.SessionWorkers,
+		Workers: sessionWorkers,
 		Targets: []string{req.Scenario},
 		Stop:    s.drain,
 	}
@@ -337,20 +337,4 @@ func allDeadline(rs []campaign.Result) bool {
 		}
 	}
 	return len(rs) > 0
-}
-
-// outcomeLabel maps one outcome to its primary verdict label, matching
-// campaign.Summarize's partition.
-func outcomeLabel(o attack.Outcome) string {
-	switch {
-	case o.Detected:
-		return "detected"
-	case o.TimedOut:
-		return "timeout"
-	case o.Crashed:
-		return "crashed"
-	case o.Compromised:
-		return "compromised"
-	}
-	return "clean"
 }
