@@ -4,7 +4,7 @@ CAMPAIGN_N ?= 64
 FAULT_N ?= 144
 FAULT_SEED ?= 1
 PTFUZZ_SEED ?= 1
-PTFUZZ_EXECS ?= 1500
+PTFUZZ_EXECS ?= 4000
 
 .PHONY: build vet lint test race race-campaign fault-campaign fuzz fuzz-smoke serve-smoke obs-smoke bench bench-json bench-fuzz bench-superblock bench-obs trace-check ci
 
@@ -55,12 +55,11 @@ fault-campaign:
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzStepEquivalence -fuzztime $(FUZZTIME) ./internal/cpu/
 
-# Seeded, bounded attack-fuzzing smoke (~seconds): the coverage-guided
-# farm must rediscover at least the exp1 and exp2 scripted attack alert
-# fingerprints from benign seeds alone (wu-ftpd needs a few thousand
-# execs more — the full acceptance run is `ptfuzz -execs 4000 -check 3`).
+# Seeded, bounded attack-fuzzing acceptance run (~seconds): the
+# coverage-guided farm must rediscover all three scripted attack alert
+# fingerprints (exp1, exp2 and wu-ftpd) from benign seeds alone.
 fuzz-smoke:
-	$(GO) run ./cmd/ptfuzz -seed $(PTFUZZ_SEED) -execs $(PTFUZZ_EXECS) -check 2
+	$(GO) run ./cmd/ptfuzz -seed $(PTFUZZ_SEED) -execs $(PTFUZZ_EXECS) -check 3
 
 # The multi-tenant service end to end: the hostile-tenant chaos suite
 # (admission, containment, backpressure, shedding, drain, per-tenant

@@ -55,7 +55,7 @@ func run(args []string, w io.Writer) error {
 	targetList := fs.String("target", "", "comma-separated target filter (default: all)")
 	jsonPath := fs.String("json", "", "write the JSON report to this file (- = stdout)")
 	corpus := fs.Bool("corpus", false, "print the admitted corpus entries")
-	benchPath := fs.String("bench", "", "write throughput numbers (execs/sec, fork/exec breakdown) to this JSON file")
+	benchPath := fs.String("bench", "", "write throughput numbers (execs/sec, prepare and fuzz seconds, instructions per exec) to this JSON file")
 	check := fs.Int("check", 0, "fail unless at least N scripted attack fingerprints were rediscovered")
 	ct := core.DefaultContainment()
 	ct.Deadline = 0 // per-exec wall deadlines trade determinism; opt in explicitly

@@ -67,8 +67,14 @@ func bootFTP(opts Options) (*Machine, error) {
 	return m, nil
 }
 
-// ftpAuth connects to a booted (accept-blocked) ftpd and authenticates.
+// ftpAuth returns an authenticated session on the ftpd. A machine that
+// already holds an open connection (a fork of a snapshot taken after the
+// login) continues on its latest one; a booted (accept-blocked) ftpd is
+// connected to and logged in.
 func ftpAuth(m *Machine) (ftpConn, error) {
+	if peers := m.Peers(); len(peers) > 0 {
+		return ftpConn{m: m, ep: peers[len(peers)-1]}, nil
+	}
 	ep, err := m.Connect(21)
 	if err != nil {
 		return ftpConn{}, err

@@ -5,9 +5,11 @@ package attack
 // snapshot point with a Play function that delivers ONE arbitrary byte
 // string where the scripted attack delivers its payload — stdin for the
 // Fig. 2 synthetic victims, an authenticated FTP command line for wu-ftpd
-// — and classifies what the detection mechanism did about it. The seeds
-// are deliberately benign: rediscovering the scripted attacks' alert
-// fingerprints from them is the fuzzer's whole acceptance test.
+// — and classifies what the detection mechanism did about it. A target
+// whose input follows a fixed dialogue (the FTP login) names it as its
+// Prelude, so the fuzzer can run it once and fork every input past it.
+// The seeds are deliberately benign: rediscovering the scripted attacks'
+// alert fingerprints from them is the fuzzer's whole acceptance test.
 
 // InputTarget is one fuzzable input surface.
 type InputTarget struct {
@@ -23,8 +25,14 @@ type InputTarget struct {
 	Dict [][]byte
 	// MaxLen bounds generated inputs, in bytes.
 	MaxLen int
-	// Play delivers input to a machine forked from the snapshot point and
-	// classifies the run. It must be deterministic in (snapshot, input).
+	// Prelude advances a machine at the snapshot point through the fixed
+	// dialogue that precedes the input (the FTP connect and login); nil
+	// when the input is the first thing the victim reads.
+	Prelude func(m *Machine) error
+	// Play delivers input to a machine forked from the snapshot point, or
+	// from a snapshot taken after Prelude, and classifies the run. It must
+	// be deterministic in (snapshot, input), and the two starting points
+	// give the same run.
 	Play func(m *Machine, input []byte) (Outcome, error)
 }
 
@@ -75,8 +83,9 @@ func InputTargets() []InputTarget {
 					[]byte("%s"),
 					[]byte("%d"),
 				},
-				MaxLen: 128,
-				Play:   playFTPCommand,
+				MaxLen:  128,
+				Prelude: ftpPrelude,
+				Play:    playFTPCommand,
 			})
 		}
 	}
@@ -101,10 +110,16 @@ func playStdin(m *Machine, input []byte) (Outcome, error) {
 	return Classify(m.Run()), nil
 }
 
+// ftpPrelude is the wu-ftpd target's fixed dialogue: connect and log in.
+func ftpPrelude(m *Machine) error {
+	_, err := ftpAuth(m)
+	return err
+}
+
 // playFTPCommand authenticates the attacker's session against the forked
-// daemon (the login dialogue is fixed; only the command after it is
-// attacker-chosen, exactly the paper's Table 2 shape) and sends input as
-// one command line.
+// daemon, or continues the one the prelude left open (the login dialogue
+// is fixed; only the command after it is attacker-chosen, exactly the
+// paper's Table 2 shape), and sends input as one command line.
 func playFTPCommand(m *Machine, input []byte) (Outcome, error) {
 	conn, err := ftpAuth(m)
 	if err != nil {

@@ -351,6 +351,12 @@ func (m *Machine) Connect(port uint16) (*netsim.Endpoint, error) {
 	return m.Kernel.Net.Connect(port)
 }
 
+// Peers returns the host ends of the connections opened with Connect that
+// the guest has not closed, pending or accepted, in Connect order. A fork
+// carries them: on a machine forked from a snapshot taken mid-dialogue,
+// Peers continues the dialogue on the fork's own copy of each connection.
+func (m *Machine) Peers() []*netsim.Endpoint { return m.Kernel.Net.Peers() }
+
 // Transact sends input, resumes the guest until it blocks again (or
 // terminates), and returns the guest's output on the connection. err is
 // nil while the guest merely awaits more input.

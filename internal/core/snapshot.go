@@ -41,9 +41,12 @@ func (s *Snapshot) Stats() cpu.Stats { return s.m.CPU.Stats() }
 // deep-copied, CPU registers, taint and statistics are cloned, and the
 // predecoded text is shared: every fork of the snapshot reuses the blocks
 // any of them has built. Fork only reads the snapshot, so it is safe to call
-// concurrently from campaign workers. Host-side network Endpoints from
-// before the snapshot still address the original machine; a forked
-// session opens its own connections via Connect.
+// concurrently from campaign workers. The fork carries the host side of
+// every connection the snapshot's guest still holds: its Peers address
+// the fork's copies, so a session can continue a dialogue the snapshot
+// was taken in the middle of, or open new connections via Connect.
+// Endpoints obtained before the snapshot still address the original
+// machine.
 func (s *Snapshot) Fork() *Machine { return s.m.fork() }
 
 // fork clones m's flat-memory state into a new Machine: pages shared

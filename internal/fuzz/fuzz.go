@@ -3,7 +3,8 @@
 // surface (internal/attack.InputTargets) contributes a booted victim
 // snapshot and a Play function that delivers one arbitrary byte string
 // where the scripted attack delivers its payload; the engine mutates
-// inputs from a benign seed corpus, forks the snapshot per input with a
+// inputs from a benign seed corpus, forks the snapshot per input (past
+// the target's fixed prelude, such as the FTP login) with a
 // branch-edge coverage map attached (internal/cpu.CovMap), keeps inputs
 // that reach new coverage features, and classifies every run through the
 // fault-campaign outcome taxonomy, deduplicating alerts and crashes by
@@ -89,13 +90,21 @@ func (cfg *Config) setDefaults() {
 }
 
 // Target is one prepared fuzzable surface: the input-target definition
-// plus its booted snapshot and calibration state.
+// plus its booted snapshot, its entry snapshot and calibration state.
 type Target struct {
 	attack.InputTarget
 
 	snap *attack.Snapshot
-	// base is the snapshot's retired-instruction count; per-exec work is
-	// measured past it.
+	// entry is snap advanced through the target's Prelude (snap itself
+	// when there is none): every exec and trim re-run forks it, so the
+	// fixed dialogue before the input runs once per target, not per exec.
+	entry *attack.Snapshot
+	// entryCov is the coverage the Prelude recorded. Each exec's map
+	// starts as a copy of it, so counts and features are those of a run
+	// from snap.
+	entryCov cpu.CovMap
+	// base is the boot snapshot's retired-instruction count; per-exec
+	// work is measured past it, prelude included.
 	base uint64
 	// budget is the absolute per-fork instruction cap: several scripted
 	// sessions' worth, so a mutated input that sends the guest spinning
@@ -109,7 +118,10 @@ type Target struct {
 // ScriptedFingerprint exposes the rediscovery oracle for tests and CLIs.
 func (t *Target) ScriptedFingerprint() string { return t.scriptedFP }
 
-// Snapshot exposes the prepared snapshot (replay harnesses fork it).
+// Snapshot exposes the boot snapshot, from before the Prelude. Replay
+// harnesses fork it and Play delivers the whole session; the fuzzer's own
+// execs fork the entry snapshot past the Prelude and reach the same
+// outcome, coverage and instruction count.
 func (t *Target) Snapshot() *attack.Snapshot { return t.snap }
 
 // Budget exposes the calibrated per-fork instruction cap.
@@ -156,18 +168,29 @@ func PrepareTargets(cfg Config) ([]*Target, error) {
 }
 
 // NewTarget snapshots a booted machine at the input target's snapshot
-// point and calibrates it: one fork plays the scripted attack session
-// (recording the oracle fingerprint), one fork plays the first seed, and
-// the per-fork budget covers several of the longer session.
+// point and calibrates it: one fork runs the Prelude under a coverage map
+// and is snapshotted as the entry point, one entry fork plays the scripted
+// attack session (recording the oracle fingerprint), one plays the first
+// seed, and the per-fork budget covers several of the longer session.
 func NewTarget(it attack.InputTarget, m *attack.Machine) (*Target, error) {
 	name := it.Scenario.Name
 	snap, err := m.Snapshot()
 	if err != nil {
 		return nil, fmt.Errorf("snapshot %s: %w", name, err)
 	}
-	t := &Target{InputTarget: it, snap: snap, base: snap.Stats().Instructions}
+	t := &Target{InputTarget: it, snap: snap, entry: snap, base: snap.Stats().Instructions}
+	if it.Prelude != nil {
+		pm := snap.Fork()
+		pm.CPU.SetCovMap(&t.entryCov)
+		if err := it.Prelude(pm); err != nil {
+			return nil, fmt.Errorf("prelude %s: %w", name, err)
+		}
+		if t.entry, err = pm.Snapshot(); err != nil {
+			return nil, fmt.Errorf("entry snapshot %s: %w", name, err)
+		}
+	}
 
-	scripted := snap.Fork()
+	scripted := t.entry.Fork()
 	out, err := it.Scenario.Session(scripted)
 	if err != nil {
 		return nil, fmt.Errorf("scripted session %s: %w", name, err)
@@ -176,7 +199,7 @@ func NewTarget(it attack.InputTarget, m *attack.Machine) (*Target, error) {
 	sessionLen := scripted.CPU.Stats().Instructions - t.base
 
 	if len(it.Seeds) > 0 {
-		ctl := snap.Fork()
+		ctl := t.entry.Fork()
 		if _, err := it.Play(ctl, it.Seeds[0]); err != nil {
 			return nil, fmt.Errorf("seed session %s: %w", name, err)
 		}
@@ -325,13 +348,21 @@ func (g genState) candidate(t *Target, slot int) []byte {
 // one fork between Get and Put.
 var covPool = sync.Pool{New: func() any { return new(cpu.CovMap) }}
 
-// runOne forks the target, attaches a fresh coverage map, plays one
-// input under the calibrated budget, and extracts features.
+// runOne plays one input on a pooled coverage map.
 func runOne(t *Target, input []byte) execResult {
 	cm := covPool.Get().(*cpu.CovMap)
 	defer covPool.Put(cm)
-	cm.Reset()
-	m := t.snap.Fork()
+	r, _ := playEntry(t, cm, input)
+	return r
+}
+
+// playEntry forks the target's entry snapshot, attaches cm holding the
+// prelude's coverage, plays one input under the calibrated budget, and
+// extracts features. It returns the played machine too, for tests that
+// hold it to a run from the boot snapshot.
+func playEntry(t *Target, cm *cpu.CovMap, input []byte) (execResult, *attack.Machine) {
+	*cm = t.entryCov
+	m := t.entry.Fork()
 	m.SetBudget(t.budget)
 	m.CPU.SetCovMap(cm)
 	out, err := t.Play(m, input)
@@ -342,7 +373,7 @@ func runOne(t *Target, input []byte) execResult {
 		err:    err,
 		feats:  cm.Features(make([]uint32, 0, 512)),
 		instrs: m.CPU.Stats().Instructions - t.base,
-	}
+	}, m
 }
 
 // classLabel folds one exec through the fault-campaign taxonomy. Fuzzed

@@ -79,13 +79,16 @@ func TestPrepareConcurrentWithSessions(t *testing.T) {
 	}
 	t.Logf("%d session rounds ran during preparation", rounds)
 
-	// The reference interpreter never touches the block cache.
+	// The reference interpreter never touches the block cache, before or
+	// after the prelude the entry snapshot ran.
 	for _, tgt := range fuzzTargets {
-		if s := tgt.snap.Stats(); s.BlockHits+s.BlockMisses != 0 {
-			t.Errorf("fuzz target %s booted on the fast engine: %+v", tgt.Scenario.Name, s)
-		}
-		if !tgt.snap.Fork().CPU.ProvEnabled() {
-			t.Errorf("fuzz target %s booted without provenance", tgt.Scenario.Name)
+		for _, snap := range []*attack.Snapshot{tgt.snap, tgt.entry} {
+			if s := snap.Stats(); s.BlockHits+s.BlockMisses != 0 {
+				t.Errorf("fuzz target %s booted on the fast engine: %+v", tgt.Scenario.Name, s)
+			}
+			if !snap.Fork().CPU.ProvEnabled() {
+				t.Errorf("fuzz target %s booted without provenance", tgt.Scenario.Name)
+			}
 		}
 	}
 	rep, err := fault.Campaign(fault.Config{Runs: len(faultTargets), Workers: 2, InjectorNames: []string{"none"}},

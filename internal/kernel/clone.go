@@ -17,9 +17,11 @@ func (fs *FS) Clone() *FS {
 // fd table (with every descriptor re-pointed at the cloned objects), break
 // and credential state, the stdin cursor, and the stdout/stderr buffers.
 // Clone only reads the receiver, so many goroutines may clone one
-// snapshotted kernel concurrently. Host-side Endpoints obtained from the
-// original network still point at the original connections — a forked
-// session must Connect (or reuse fds) through the clone.
+// snapshotted kernel concurrently. The clone's network carries the host
+// ends of the connections the guest still holds (Net.Peers), re-pointed
+// at the cloned connections, so a forked session can continue a dialogue
+// its origin started; Endpoints obtained from the original network still
+// address the original connections.
 func (k *Kernel) Clone() *Kernel {
 	n := &Kernel{
 		FS:          k.FS.Clone(),
@@ -60,7 +62,7 @@ func (k *Kernel) Clone() *Kernel {
 		if d.conn != nil {
 			nc := cmap[d.conn]
 			if nc == nil {
-				// Accepted before the clone, so not in any pending queue.
+				// Accepted before the clone and held by no peer.
 				nc = d.conn.Clone()
 				cmap[d.conn] = nc
 			}

@@ -501,6 +501,9 @@ func (k *Kernel) sysClose(fd int32) int32 {
 	if d.listener != nil {
 		k.Net.Unbind(d.listener.Port)
 	}
+	if d.conn != nil {
+		k.Net.Hangup(d.conn)
+	}
 	delete(k.fds, fd)
 	return 0
 }

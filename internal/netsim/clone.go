@@ -17,11 +17,12 @@ func (c *Conn) Clone() *Conn {
 }
 
 // Clone returns a deep copy of the network plus identity maps from the
-// original listeners and pending connections to their copies, so a caller
-// holding references into the old network (the kernel's fd table) can
-// re-point them at the clone. Connections that were accepted off a
-// listener before the clone are not in the conn map; clone those
-// separately with Conn.Clone.
+// original listeners and connections to their copies, so a caller holding
+// references into the old network (the kernel's fd table) can re-point
+// them at the clone. The connection map covers every pending connection
+// and every peer's connection, so the clone's Peers address the copies in
+// the same order. A connection the guest accepted that no peer holds is
+// not in the map; clone those separately with Conn.Clone.
 func (n *Network) Clone() (*Network, map[*Listener]*Listener, map[*Conn]*Conn) {
 	nn := New()
 	lmap := make(map[*Listener]*Listener, len(n.listeners))
@@ -38,6 +39,15 @@ func (n *Network) Clone() (*Network, map[*Listener]*Listener, map[*Conn]*Conn) {
 		}
 		nn.listeners[port] = nl
 		lmap[l] = nl
+	}
+	for _, e := range n.peers {
+		nc := cmap[e.conn]
+		if nc == nil {
+			// Accepted: the guest holds it in its fd table.
+			nc = e.conn.Clone()
+			cmap[e.conn] = nc
+		}
+		nn.peers = append(nn.peers, &Endpoint{conn: nc})
 	}
 	return nn, lmap, cmap
 }

@@ -109,3 +109,48 @@ func TestNetworkClone(t *testing.T) {
 		t.Fatalf("clone connect leaked into original listener: %d pending", l.Pending())
 	}
 }
+
+// TestPeersFollowTheGuest: Peers lists the connections the guest has not
+// closed in Connect order, hanging up or unbinding drops them without
+// disturbing a slice handed out earlier, and a clone carries each peer,
+// accepted or pending, onto its own copy of the connection.
+func TestPeersFollowTheGuest(t *testing.T) {
+	n := New()
+	l, err := n.Listen(21)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var eps []*Endpoint
+	for i := 0; i < 3; i++ {
+		ep, err := n.Connect(21)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eps = append(eps, ep)
+	}
+	accepted, closed := l.Accept(), l.Accept()
+	before := n.Peers()
+	n.Hangup(closed)
+	if p := n.Peers(); len(p) != 2 || p[0] != eps[0] || p[1] != eps[2] {
+		t.Fatalf("peers after hangup: %v", p)
+	}
+	if len(before) != 3 || before[1] != eps[1] {
+		t.Fatalf("hangup rewrote an earlier Peers slice: %v", before)
+	}
+
+	eps[0].SendString("to-accepted")
+	nn, _, cmap := n.Clone()
+	np := nn.Peers()
+	if len(np) != 2 || np[0].conn != cmap[accepted] || np[0].conn == accepted || np[1].conn != nn.listeners[21].pending[0] {
+		t.Fatalf("clone peers not remapped onto copies: %v", np)
+	}
+	buf := make([]byte, 16)
+	if got, _, _ := np[0].conn.In.Read(buf); string(buf[:got]) != "to-accepted" {
+		t.Fatalf("cloned peer lost buffered bytes: %q", buf[:got])
+	}
+
+	n.Unbind(21)
+	if p := n.Peers(); len(p) != 1 || p[0] != eps[0] {
+		t.Fatalf("unbind kept a pending peer: %v", p)
+	}
+}

@@ -126,6 +126,9 @@ func (l *Listener) Pending() int { return len(l.pending) }
 // Network is the loopback fabric connecting host drivers to guest sockets.
 type Network struct {
 	listeners map[uint16]*Listener
+	// peers holds the host ends of the connections opened with Connect
+	// that the guest has not closed, in Connect order.
+	peers []*Endpoint
 }
 
 // New returns an empty network.
@@ -146,8 +149,32 @@ func (n *Network) Listen(port uint16) (*Listener, error) {
 	return l, nil
 }
 
-// Unbind releases a port (guest closed its listening socket).
-func (n *Network) Unbind(port uint16) { delete(n.listeners, port) }
+// Unbind releases a port (guest closed its listening socket). Connections
+// still pending on it are gone with it.
+func (n *Network) Unbind(port uint16) {
+	if l := n.listeners[port]; l != nil {
+		for _, c := range l.pending {
+			n.Hangup(c)
+		}
+	}
+	delete(n.listeners, port)
+}
+
+// Hangup drops the host end of c from Peers: the guest closed its side.
+// Peers slices returned earlier keep their contents.
+func (n *Network) Hangup(c *Conn) {
+	for i, e := range n.peers {
+		if e.conn == c {
+			n.peers = append(n.peers[:i:i], n.peers[i+1:]...)
+			return
+		}
+	}
+}
+
+// Peers returns the host ends of the connections opened with Connect that
+// the guest has not closed, pending or accepted, in Connect order. The
+// slice is the network's own; callers must not modify it.
+func (n *Network) Peers() []*Endpoint { return n.peers }
 
 // Connect establishes a host-side connection to a listening guest port.
 func (n *Network) Connect(port uint16) (*Endpoint, error) {
@@ -157,5 +184,7 @@ func (n *Network) Connect(port uint16) (*Endpoint, error) {
 	}
 	c := &Conn{}
 	l.pending = append(l.pending, c)
-	return &Endpoint{conn: c}, nil
+	e := &Endpoint{conn: c}
+	n.peers = append(n.peers, e)
+	return e, nil
 }
