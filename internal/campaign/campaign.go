@@ -106,9 +106,11 @@ type GuardOpts struct {
 	// Deadline is a wall-clock bound per attempt (0 = none). It is the
 	// last-resort backstop behind the machine's own deterministic
 	// containment (step budget, memory limit): an attempt past its
-	// deadline resolves to *DeadlineError and the pool moves on. The
-	// abandoned goroutine still winds down on its own once the guest's
-	// step budget trips — it is orphaned, not leaked forever.
+	// deadline resolves to *DeadlineError and the pool moves on. Only a
+	// deadline puts an attempt on a goroutine of its own; with none, the
+	// worker runs it inline. The abandoned goroutine still winds down on
+	// its own once the guest's step budget trips — it is orphaned, not
+	// leaked forever.
 	Deadline time.Duration
 	// Retries is how many extra attempts an index gets after a panic or
 	// error (deadline expiries are not retried unless RetryDeadline is
@@ -246,28 +248,31 @@ func ForEachGuardedSlots[T any](n, workers int, opts GuardOpts, fn func(i, attem
 	return out, errs, gs
 }
 
-// runGuarded executes one attempt on its own goroutine so a deadline can
-// abandon it, converting panics into errors.
+// runGuarded executes one attempt, converting a panic into an error. With
+// no deadline it calls fn inline on the worker goroutine: nothing can
+// abandon the attempt, so it needs neither a goroutine of its own nor a
+// channel, and the worker's grown stack serves every attempt it runs. A
+// deadline runs the attempt on its own goroutine, which the deadline can
+// abandon.
 func runGuarded[T any](i, attempt int, deadline time.Duration, fn func(i, attempt int) (T, error)) (T, error) {
+	if deadline <= 0 {
+		v, err := callRecover(i, attempt, fn)
+		// Yield between inline attempts, as the goroutine hand-off did:
+		// workers that never block leave a concurrent GC's mark worker
+		// no turn, so the mark phase stretches and the heap, and with it
+		// the resident set, overshoots its goal.
+		runtime.Gosched()
+		return v, err
+	}
 	type res struct {
 		v   T
 		err error
 	}
 	ch := make(chan res, 1)
 	go func() {
-		defer func() {
-			if p := recover(); p != nil {
-				var zero T
-				ch <- res{zero, fmt.Errorf("session %d attempt %d: recovered panic: %v", i, attempt, p)}
-			}
-		}()
-		v, err := fn(i, attempt)
+		v, err := callRecover(i, attempt, fn)
 		ch <- res{v, err}
 	}()
-	if deadline <= 0 {
-		r := <-ch
-		return r.v, r.err
-	}
 	select {
 	case r := <-ch:
 		return r.v, r.err
@@ -275,6 +280,18 @@ func runGuarded[T any](i, attempt int, deadline time.Duration, fn func(i, attemp
 		var zero T
 		return zero, &DeadlineError{Limit: deadline}
 	}
+}
+
+// callRecover calls fn once, converting a panic into an error that names
+// the session and attempt.
+func callRecover[T any](i, attempt int, fn func(i, attempt int) (T, error)) (v T, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			var zero T
+			v, err = zero, fmt.Errorf("session %d attempt %d: recovered panic: %v", i, attempt, p)
+		}
+	}()
+	return fn(i, attempt)
 }
 
 // Result is the outcome of one replayed session.

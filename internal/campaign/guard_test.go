@@ -3,6 +3,8 @@ package campaign
 import (
 	"errors"
 	"fmt"
+	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -84,6 +86,77 @@ func TestForEachGuardedDeadline(t *testing.T) {
 	}
 	if out[1] != 0 {
 		t.Errorf("abandoned index should hold the zero value, got %d", out[1])
+	}
+}
+
+// TestForEachGuardedInlineAttempts pins the no-deadline path, where each
+// attempt runs inline on its worker: a panic still lands as an error in
+// its own slot at one and two workers, a retry still sees a fresh attempt
+// number, and no attempt gets a goroutine of its own — sampled inside fn,
+// the process never holds more goroutines than before the call plus the
+// workers.
+func TestForEachGuardedInlineAttempts(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		before := runtime.NumGoroutine()
+		var peak int64
+		out, errs, gs := ForEachGuardedSlots(8, workers, GuardOpts{Retries: 1},
+			func(i, attempt int) (string, error) {
+				for n := int64(runtime.NumGoroutine()); ; {
+					p := atomic.LoadInt64(&peak)
+					if n <= p || atomic.CompareAndSwapInt64(&peak, p, n) {
+						break
+					}
+				}
+				switch {
+				case i == 3:
+					panic("wedged fork")
+				case i == 5 && attempt == 0:
+					return "", fmt.Errorf("transient failure")
+				}
+				return fmt.Sprintf("i=%d attempt=%d", i, attempt), nil
+			})
+		for i := range out {
+			switch i {
+			case 3:
+				if out[i] != "" || errs[i] == nil || !strings.Contains(errs[i].Error(), "session 3 attempt 1: recovered panic: wedged fork") {
+					t.Errorf("workers=%d: slot 3 = (%q, %v), want the last attempt's recovered panic", workers, out[i], errs[i])
+				}
+			case 5:
+				if out[i] != "i=5 attempt=1" || errs[i] != nil {
+					t.Errorf("workers=%d: slot 5 = (%q, %v), want the retry's result", workers, out[i], errs[i])
+				}
+			default:
+				if want := fmt.Sprintf("i=%d attempt=0", i); out[i] != want || errs[i] != nil {
+					t.Errorf("workers=%d: slot %d = (%q, %v), want %q", workers, i, out[i], errs[i], want)
+				}
+			}
+		}
+		if gs.Retries != 2 {
+			t.Errorf("workers=%d: GuardStats.Retries = %d, want 2 (slots 3 and 5)", workers, gs.Retries)
+		}
+		spawned := 0
+		if workers > 1 {
+			spawned = workers
+		}
+		if peak > int64(before+spawned) {
+			t.Errorf("workers=%d: %d goroutines inside an attempt, want at most %d: an attempt got its own goroutine",
+				workers, peak, before+spawned)
+		}
+	}
+
+	// A deadline still puts the attempt on a goroutine it can abandon.
+	release := make(chan struct{})
+	defer close(release)
+	_, errs, _ := ForEachGuardedSlots(2, 1, GuardOpts{Deadline: 20 * time.Millisecond},
+		func(i, attempt int) (int, error) {
+			if i == 0 {
+				<-release
+			}
+			return i, nil
+		})
+	var dl *DeadlineError
+	if !errors.As(errs[0], &dl) || errs[1] != nil {
+		t.Errorf("deadline slots = %v, want a DeadlineError in slot 0 only", errs)
 	}
 }
 

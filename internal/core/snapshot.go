@@ -29,7 +29,11 @@ func (m *Machine) Snapshot() (*Snapshot, error) {
 	}
 	m.CPU.NoteSnapshot()
 	m.CPU.ShareText()
-	return &Snapshot{m.fork()}, nil
+	s := m.fork()
+	// The fork's label table layers on m's, which m goes on writing;
+	// flatten it so the snapshot's forks layer on a table nothing writes.
+	s.CPU.FlattenProv()
+	return &Snapshot{s}, nil
 }
 
 // Stats returns the CPU counters at the snapshot point; campaign

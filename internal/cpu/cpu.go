@@ -428,9 +428,9 @@ func (c *CPU) stepOne() error {
 
 	switch in.Op.Kind() {
 	case isa.KindALU, isa.KindCompare:
-		c.execALU(in)
+		c.execALU(in, c.pc, c.stats.Instructions)
 	case isa.KindShift:
-		c.execShift(in)
+		c.execShift(in, c.pc, c.stats.Instructions)
 	case isa.KindLoad, isa.KindStore:
 		if err := c.execMem(in); err != nil {
 			return err
@@ -535,7 +535,9 @@ func immOperand(v uint32) taint.Operand {
 }
 
 // execALU covers three-register ALU ops, immediates, LUI, and compares.
-func (c *CPU) execALU(in isa.Instruction) {
+// pc and instrs are the instruction's address and the retired count
+// before it, for the provenance hook.
+func (c *CPU) execALU(in isa.Instruction, pc uint32, instrs uint64) {
 	var a, b taint.Operand
 	var dst isa.Register
 	switch in.Op {
@@ -562,7 +564,7 @@ func (c *CPU) execALU(in isa.Instruction) {
 	}
 	c.SetReg(dst, val, res.Out)
 	if c.prov != nil {
-		c.provProp(dst, res.Out, a, b)
+		c.provProp(dst, res.Out, a, b, pc, instrs)
 	}
 }
 
@@ -625,8 +627,9 @@ func aluValue(in isa.Instruction, a, b uint32) uint32 {
 	return 0
 }
 
-// execShift covers immediate and variable shifts.
-func (c *CPU) execShift(in isa.Instruction) {
+// execShift covers immediate and variable shifts; pc and instrs are as
+// for execALU.
+func (c *CPU) execShift(in isa.Instruction, pc uint32, instrs uint64) {
 	datum := c.operand(in.Rt)
 	var amount taint.Operand
 	if in.Op == isa.OpSLL || in.Op == isa.OpSRL || in.Op == isa.OpSRA {
@@ -647,7 +650,7 @@ func (c *CPU) execShift(in isa.Instruction) {
 	res := c.prop.Propagate(in.Op, datum, amount)
 	c.SetReg(in.Rd, val, res.Out)
 	if c.prov != nil {
-		c.provProp(in.Rd, res.Out, datum, amount)
+		c.provProp(in.Rd, res.Out, datum, amount, pc, instrs)
 	}
 }
 

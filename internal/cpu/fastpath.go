@@ -638,16 +638,18 @@ chain:
 					clean = true
 					staticN += uint64(sp) // FactOperandsClean is bit 0
 				} else {
-					if c.prov != nil {
-						// Provenance hooks read c.pc (birth pc) and exact
-						// retired counts (event timestamps); sync the lazy
-						// state first. Only tainted-operand work pays this.
+					if c.events != nil && c.prov != nil {
+						// The provenance hook takes its pc and retired
+						// count as arguments, but the event it emits goes
+						// to a host callback that may read the machine:
+						// sync the lazy state for it. Only tainted-operand
+						// work pays this.
 						c.pc = pc
 						c.flushRetired(done, cleanN, staticN)
 						c.flushPipe(cyc, stalls, prevDst)
 						done, cleanN, staticN, cyc, stalls = 0, 0, 0, 0, 0
 					}
-					c.execALU(d.in)
+					c.execALU(d.in, pc, c.stats.Instructions+done)
 				}
 			case isa.KindCompare:
 				// Compares untaint their source registers and write the
@@ -658,15 +660,16 @@ chain:
 					c.execALUClean(d)
 					clean = true
 				} else {
-					if c.prov != nil {
+					if c.events != nil && c.prov != nil {
 						// Compares untaint by default, but ablation
-						// propagators can produce tainted results here too.
+						// propagators can produce tainted results, and
+						// pointer-taint events, here too.
 						c.pc = pc
 						c.flushRetired(done, cleanN, staticN)
 						c.flushPipe(cyc, stalls, prevDst)
 						done, cleanN, staticN, cyc, stalls = 0, 0, 0, 0, 0
 					}
-					c.execALU(d.in)
+					c.execALU(d.in, pc, c.stats.Instructions+done)
 				}
 			case isa.KindShift:
 				if sp := d.static & FactOperandsClean; sp != 0 ||
@@ -675,13 +678,13 @@ chain:
 					clean = true
 					staticN += uint64(sp) // FactOperandsClean is bit 0
 				} else {
-					if c.prov != nil {
+					if c.events != nil && c.prov != nil {
 						c.pc = pc
 						c.flushRetired(done, cleanN, staticN)
 						c.flushPipe(cyc, stalls, prevDst)
 						done, cleanN, staticN, cyc, stalls = 0, 0, 0, 0, 0
 					}
-					c.execShift(d.in)
+					c.execShift(d.in, pc, c.stats.Instructions+done)
 				}
 			case isa.KindLoad, isa.KindStore:
 				// FactAddrClean proves the address register untainted, so the

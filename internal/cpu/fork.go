@@ -146,12 +146,14 @@ func (c *CPU) Fork(bus Bus, handler SyscallHandler) *CPU {
 		n.seen = append([]uint64(nil), c.seen...)
 	}
 	if c.prov != nil {
-		// Provenance state is inherited deep: the label table and the
-		// register shadows copy, so every fork resolves pre-snapshot
-		// labels identically while post-fork inputs diverge independently.
-		// The snapshot CPU is execution-quiescent during concurrent forks,
-		// so cloning only reads it.
-		n.prov = c.prov.clone()
+		// Provenance state is inherited: the register shadows copy and
+		// the fork's label table layers on c's, so every fork resolves
+		// pre-snapshot labels identically while post-fork inputs diverge
+		// independently. The layer reads c's table for as long as the
+		// fork lives, so c must not record provenance meanwhile: a
+		// snapshot CPU never runs, and core flattens a snapshot's table
+		// off the machine it was taken from (FlattenProv).
+		n.prov = c.prov.fork()
 	}
 	if c.watches != nil {
 		n.watches = append([]TaintWatch(nil), c.watches...)

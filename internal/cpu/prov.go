@@ -34,13 +34,25 @@ type provState struct {
 	regBirth [isa.NumRegisters]uint32
 }
 
-// clone deep-copies the provenance state for a fork; the arrays copy by
-// value, the table is cloned so post-fork inputs diverge independently.
-func (p *provState) clone() *provState {
+// fork copies the provenance state for a fork: the register shadows copy
+// by value, and the fork's table is a layer on p's, so post-fork inputs
+// diverge independently while pre-fork labels resolve through p's table
+// without a copy of it.
+func (p *provState) fork() *provState {
 	n := new(provState)
 	*n = *p
-	n.table = p.table.Clone()
+	n.table = p.table.Layer()
 	return n
+}
+
+// FlattenProv replaces the provenance table with a flat copy of itself,
+// taking it off the table it layers on. The snapshot layer calls it on a
+// snapshot's CPU: forks of the snapshot then layer on a table that no
+// running machine writes. A no-op with provenance disabled.
+func (c *CPU) FlattenProv() {
+	if c.prov != nil {
+		c.prov.table = c.prov.table.Clone()
+	}
 }
 
 // EnableProvenance turns on taint provenance tracking: every input
@@ -130,16 +142,19 @@ func (c *CPU) ProvInput(source string, fd int32, off uint64, addr uint32, n int)
 // registers' labels, inheriting the first tainted source's birth pc.
 // Called (gated on c.prov) after execALU/execShift wrote dst; a and b
 // are the operand views captured before the write, so dst aliasing a
-// source is safe. Tainted ALU work takes the full execALU path in both
-// engines — the fast path's short-circuit fires only when the result is
-// provably clean — so label allocation order, and hence every label
-// number, is engine-independent.
-func (c *CPU) provProp(dst isa.Register, out taint.Vec, a, b taint.Operand) {
+// source is safe. pc is the instruction's address (the birth pc of a
+// result with no tainted register source) and instrs the exact retired
+// count, as for provLoad, so the block tier need not sync its lazy pc
+// and counters first. Tainted ALU work takes the full execALU path in
+// both engines — the fast path's short-circuit fires only when the
+// result is provably clean — so label allocation order, and hence every
+// label number, is engine-independent.
+func (c *CPU) provProp(dst isa.Register, out taint.Vec, a, b taint.Operand, pc uint32, instrs uint64) {
 	if out == taint.None || dst == isa.RegZero {
 		return
 	}
 	var l prov.Label
-	birth := c.pc
+	birth := pc
 	if a.Reg != taint.NoRegister && a.Taint != taint.None {
 		l = c.prov.regLabel[a.Reg]
 		birth = c.prov.regBirth[a.Reg]
@@ -155,8 +170,8 @@ func (c *CPU) provProp(dst isa.Register, out taint.Vec, a, b taint.Operand) {
 	if c.events != nil {
 		c.events.Emit(Event{
 			Kind:   EvPointerTaint,
-			Instrs: c.stats.Instructions,
-			PC:     c.pc,
+			Instrs: instrs,
+			PC:     pc,
 			Reg:    dst,
 			Value:  c.regs[dst],
 			Taint:  out,

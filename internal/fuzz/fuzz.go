@@ -331,7 +331,8 @@ type genState struct {
 
 // candidate builds slot's input: the target's seeds fill the first exec
 // indices, then each slot mutates the generation's corpus (the seeds while
-// the corpus is empty) under its own slotSeed stream.
+// the corpus is empty) under its own slotSeed stream: a lazySource, the
+// rand.NewSource stream without the cost of seeding all 607 words.
 func (g genState) candidate(t *Target, slot int) []byte {
 	if idx := g.execs + slot; idx < len(t.Seeds) {
 		return t.Seeds[idx]
@@ -340,7 +341,7 @@ func (g genState) candidate(t *Target, slot int) []byte {
 	if len(parents) == 0 {
 		parents = t.Seeds
 	}
-	rng := rand.New(rand.NewSource(slotSeed(g.seed, g.gen, slot)))
+	rng := rand.New(newLazySource(slotSeed(g.seed, g.gen, slot)))
 	return mutate(rng, parents, t.Dict, t.MaxLen)
 }
 

@@ -10,7 +10,6 @@ import (
 	"sort"
 	"sync/atomic"
 
-	"repro/internal/prov"
 	"repro/internal/taint"
 )
 
@@ -31,6 +30,10 @@ type page struct {
 	data  [PageSize]byte
 	taint [PageSize / 8]byte // bitset, 1 bit per byte
 	refs  int32
+
+	// labels is the page's provenance label words (prov.go), nil until
+	// the first label write; frozen, shared and copied with the page.
+	labels *pageLabels
 
 	// anyTaint is a sticky clean-page flag: false guarantees every taint
 	// bit on the page is clear, so span scans can skip the bitset
@@ -207,11 +210,13 @@ type Memory struct {
 	// exempt — they replace a shared page, never grow the footprint.
 	maxPages int
 
-	// provLabels is the opt-in word-granular provenance label shadow (see
-	// prov.go); nil when provenance is disabled. Not part of Fingerprint:
-	// labels are derived metadata, and provenance on/off must not change
-	// what memory-equality tests observe.
-	provLabels map[uint32]prov.Label
+	// provOn enables the word-granular provenance label shadow kept on
+	// the pages (see prov.go), and provWords counts the words carrying a
+	// label. Labels are not part of Fingerprint: they are derived
+	// metadata, and provenance on/off must not change what memory-equality
+	// tests observe.
+	provOn    bool
+	provWords int
 }
 
 // New returns an empty memory.
@@ -264,10 +269,15 @@ func (m *Memory) pageForWrite(addr uint32) *page {
 
 // cowCopy services a write fault on frozen page p: it copies the contents
 // into a fresh exclusively owned page, installs the copy in m's page table
-// (replacing p there), and releases m's share of p. Reading p.data/p.taint
-// here is race-free because a page with refs != 0 is immutable.
+// (replacing p there), and releases m's share of p. Reading p.data,
+// p.taint and p.labels here is race-free because a page with refs != 0 is
+// immutable.
 func (m *Memory) cowCopy(pn uint32, p *page) *page {
 	np := &page{data: p.data, taint: p.taint, anyTaint: p.anyTaint}
+	if p.labels != nil {
+		l := *p.labels
+		np.labels = &l
+	}
 	m.pages[pn] = np
 	atomic.AddInt32(&p.refs, -1)
 	m.frozen = false
@@ -313,7 +323,8 @@ func (m *Memory) Fork() *Memory {
 		frozen:        true,
 		taintedStores: m.taintedStores,
 		maxPages:      m.maxPages,
-		provLabels:    m.forkProvLabels(),
+		provOn:        m.provOn,
+		provWords:     m.provWords,
 	}
 }
 

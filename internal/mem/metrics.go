@@ -9,7 +9,7 @@ func (m *Memory) FillMetrics(r *metrics.Registry) {
 	r.Counter("mem.tainted_store_bytes").Add(m.taintedStores)
 	r.Counter("mem.cow_faults").Add(m.cowFaults)
 	r.Gauge("mem.resident_bytes").Set(float64(m.ResidentBytes()))
-	if m.provLabels != nil {
-		r.Gauge("mem.prov_words").Set(float64(len(m.provLabels)))
+	if m.provOn {
+		r.Gauge("mem.prov_words").Set(float64(m.provWords))
 	}
 }

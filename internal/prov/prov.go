@@ -56,8 +56,8 @@ func (o Origin) String() string {
 		o.Syscall, o.FD, o.Offset, o.Offset+uint64(o.Len), o.Addr, o.Instrs)
 }
 
-// node is one DAG entry: a leaf (origin >= 0, indexing Table.origins) or
-// a union of two earlier labels.
+// node is one DAG entry: a leaf (origin >= 0, indexing the table's
+// origins) or a union of two earlier labels.
 type node struct {
 	origin int32
 	a, b   Label
@@ -70,28 +70,63 @@ type node struct {
 // same Label, which both bounds growth and makes label numbers
 // comparable across the reference and fast engines.
 //
-// A Table is not safe for concurrent mutation; forks must Clone.
+// A forked machine's table is a Layer on its snapshot's: it holds only
+// the nodes, origins and memo entries made after the fork and reads the
+// rest through to the parent, which must no longer change. A Table is
+// not safe for concurrent mutation, but any number of layers may read one
+// parent concurrently.
 type Table struct {
+	// parent is the table this one layers on (nil for a flat table);
+	// labels 1..nbase and origins 0..obase-1 resolve there.
+	parent       *Table
+	nbase, obase int
+
 	nodes   []node
 	origins []Origin
-	memo    map[uint64]Label
+	// memo hash-conses this layer's union nodes: an open-addressed set
+	// of 1-based indices into nodes, keyed by the node's (a, b) pair and
+	// kept at most half full (nil until the layer's first union).
+	memo   []uint32
+	unions int
 }
 
 // NewTable returns an empty provenance table.
-func NewTable() *Table {
-	return &Table{memo: make(map[uint64]Label)}
+func NewTable() *Table { return &Table{} }
+
+// Layer returns an empty table over t: it resolves every label and
+// origin of t and allocates past them, as a copy of t would, without
+// copying anything. t must not change while the layer is in use.
+func (t *Table) Layer() *Table {
+	return &Table{parent: t, nbase: t.NumLabels(), obase: t.NumOrigins()}
+}
+
+// node returns label l's DAG entry (l must be in range).
+func (t *Table) node(l Label) node {
+	for int(l) <= t.nbase {
+		t = t.parent
+	}
+	return t.nodes[int(l)-t.nbase-1]
+}
+
+// origin returns origin id's record (id must be in range).
+func (t *Table) origin(id int32) Origin {
+	for int(id) < t.obase {
+		t = t.parent
+	}
+	return t.origins[int(id)-t.obase]
 }
 
 // Source allocates a fresh leaf label for one input origin.
 func (t *Table) Source(o Origin) Label {
 	t.origins = append(t.origins, o)
-	t.nodes = append(t.nodes, node{origin: int32(len(t.origins) - 1)})
-	return Label(len(t.nodes))
+	t.nodes = append(t.nodes, node{origin: int32(t.obase + len(t.origins) - 1)})
+	return Label(t.nbase + len(t.nodes))
 }
 
 // Union returns a label covering everything a and b cover. The zero
 // label is the identity, equal labels collapse, and the (unordered) pair
-// is memoized so repeated merges along a loop allocate nothing.
+// is memoized so repeated merges along a loop allocate nothing. A pair of
+// labels the parent knows may already be memoized there.
 func (t *Table) Union(a, b Label) Label {
 	if a == 0 || a == b {
 		return b
@@ -102,14 +137,65 @@ func (t *Table) Union(a, b Label) Label {
 	if a > b {
 		a, b = b, a
 	}
-	key := uint64(a)<<32 | uint64(b)
-	if l, ok := t.memo[key]; ok {
+	if l := t.lookup(a, b); l != 0 {
 		return l
 	}
+	// A pair of labels a parent holds may have its union there.
+	for p, nb := t.parent, t.nbase; p != nil && int(b) <= nb; p, nb = p.parent, p.nbase {
+		if l := p.lookup(a, b); l != 0 {
+			return l
+		}
+	}
 	t.nodes = append(t.nodes, node{origin: -1, a: a, b: b})
-	l := Label(len(t.nodes))
-	t.memo[key] = l
-	return l
+	t.insert(len(t.nodes))
+	return Label(t.nbase + len(t.nodes))
+}
+
+// memoSlot returns the first memo slot to probe for the pair (a, b).
+func (t *Table) memoSlot(a, b Label) int {
+	h := (uint64(a)<<32 | uint64(b)) * 0x9E3779B97F4A7C15
+	return int(h>>32) & (len(t.memo) - 1)
+}
+
+// lookup returns this layer's union of (a, b), a < b, or 0 if it has
+// none.
+func (t *Table) lookup(a, b Label) Label {
+	if t.memo == nil {
+		return 0
+	}
+	mask := len(t.memo) - 1
+	for i := t.memoSlot(a, b); t.memo[i] != 0; i = (i + 1) & mask {
+		if n := t.nodes[t.memo[i]-1]; n.a == a && n.b == b {
+			return Label(t.nbase + int(t.memo[i]))
+		}
+	}
+	return 0
+}
+
+// insert adds the union node at 1-based index idx to the memo, doubling
+// the memo first when it would pass half full.
+func (t *Table) insert(idx int) {
+	if t.unions++; 2*t.unions > len(t.memo) {
+		old := t.memo
+		t.memo = make([]uint32, max(64, 2*len(old)))
+		for _, j := range old {
+			if j != 0 {
+				t.place(j)
+			}
+		}
+	}
+	t.place(uint32(idx))
+}
+
+// place stores node index idx in the first free slot of its probe run.
+func (t *Table) place(idx uint32) {
+	n := t.nodes[idx-1]
+	mask := len(t.memo) - 1
+	i := t.memoSlot(n.a, n.b)
+	for t.memo[i] != 0 {
+		i = (i + 1) & mask
+	}
+	t.memo[i] = idx
 }
 
 // Origins resolves a label to its leaf origins, deduplicated, in
@@ -122,7 +208,7 @@ func (t *Table) Origins(l Label) []Origin {
 	}
 	out := make([]Origin, len(ids))
 	for i, id := range ids {
-		out[i] = t.origins[id]
+		out[i] = t.origin(id)
 	}
 	return out
 }
@@ -130,7 +216,7 @@ func (t *Table) Origins(l Label) []Origin {
 // originIndices walks the DAG under l iteratively and returns the sorted
 // set of leaf origin indices.
 func (t *Table) originIndices(l Label) []int32 {
-	if l == 0 || int(l) > len(t.nodes) {
+	if l == 0 || int(l) > t.NumLabels() {
 		return nil
 	}
 	var (
@@ -145,7 +231,7 @@ func (t *Table) originIndices(l Label) []int32 {
 			continue
 		}
 		visited[cur] = true
-		n := t.nodes[cur-1]
+		n := t.node(cur)
 		if n.origin >= 0 {
 			ids = append(ids, n.origin)
 			continue
@@ -157,10 +243,10 @@ func (t *Table) originIndices(l Label) []int32 {
 }
 
 // NumOrigins reports how many input origins have been recorded.
-func (t *Table) NumOrigins() int { return len(t.origins) }
+func (t *Table) NumOrigins() int { return t.obase + len(t.origins) }
 
 // NumLabels reports how many labels (leaves + unions) exist.
-func (t *Table) NumLabels() int { return len(t.nodes) }
+func (t *Table) NumLabels() int { return t.nbase + len(t.nodes) }
 
 // Describe renders a label's origin set as a multi-line forensic chain,
 // one origin per line, prefixed with prefix.
@@ -180,16 +266,27 @@ func (t *Table) Describe(l Label, prefix string) string {
 	return b.String()
 }
 
-// Clone returns an independent deep copy; forked machines clone the
-// parent's table so post-fork inputs diverge without aliasing.
+// Clone returns an independent flat copy: every node and origin t can
+// see, its own and those of the tables under it, in one table with no
+// parent and its memo rebuilt. A snapshot clones its machine's table, so
+// the layers its forks put on it read a table nothing writes any more.
 func (t *Table) Clone() *Table {
-	n := &Table{
-		nodes:   append([]node(nil), t.nodes...),
-		origins: append([]Origin(nil), t.origins...),
-		memo:    make(map[uint64]Label, len(t.memo)),
-	}
-	for k, v := range t.memo {
-		n.memo[k] = v
+	n := &Table{}
+	t.flattenInto(n)
+	for i, nd := range n.nodes {
+		if nd.origin < 0 {
+			n.insert(i + 1)
+		}
 	}
 	return n
+}
+
+// flattenInto appends every node and origin t can see to n's.
+func (t *Table) flattenInto(n *Table) {
+	if t.parent != nil {
+		t.parent.flattenInto(n)
+		n.nodes, n.origins = n.nodes[:t.nbase], n.origins[:t.obase]
+	}
+	n.nodes = append(n.nodes, t.nodes...)
+	n.origins = append(n.origins, t.origins...)
 }
