@@ -40,9 +40,11 @@ race:
 # ptrun drives obs spans around a build and run. internal/core holds the
 # one machine assembler, snapshot/fork and the shared static-fact cache;
 # ptdbg boots through it too. internal/prov rides along because every
-# fork's label table reads its snapshot's frozen table concurrently.
+# fork's label table reads its snapshot's frozen table concurrently, and
+# internal/asm because concurrent forks build and read an image's lazy
+# symbol index when they attribute alerts.
 race-campaign:
-	$(GO) test -race -shuffle=on ./internal/mem/ ./internal/prov/ ./internal/campaign/ ./internal/core/ ./internal/attack/ ./internal/kernel/ ./internal/netsim/ ./internal/fault/ ./internal/fuzz/ ./internal/cpu/ ./internal/serve/ ./internal/obs/ ./cmd/ptattack/ ./cmd/ptcampaign/ ./cmd/ptfault/ ./cmd/ptfuzz/ ./cmd/ptserve/ ./cmd/ptrun/ ./cmd/ptdbg/
+	$(GO) test -race -shuffle=on ./internal/mem/ ./internal/asm/ ./internal/prov/ ./internal/campaign/ ./internal/core/ ./internal/attack/ ./internal/kernel/ ./internal/netsim/ ./internal/fault/ ./internal/fuzz/ ./internal/cpu/ ./internal/serve/ ./internal/obs/ ./cmd/ptattack/ ./cmd/ptcampaign/ ./cmd/ptfault/ ./cmd/ptfuzz/ ./cmd/ptserve/ ./cmd/ptrun/ ./cmd/ptdbg/
 
 # A small seeded fault-injection campaign with the invariants enforced:
 # zero SilentTaintLoss on the un-faulted control arm, every attack-arm
@@ -86,6 +88,7 @@ bench:
 	$(GO) test -run '^$$' -bench 'StepFastPath|SPEC' -benchmem .
 	$(GO) test -run '^$$' -bench CovMap -benchmem ./internal/cpu/
 	$(GO) test -run '^$$' -bench Candidate -benchmem ./internal/fuzz/
+	$(GO) test -run '^$$' -bench FaultCampaign -benchmem ./internal/fault/
 
 # Machine-readable campaign benchmark: sessions/sec, ns/instr, and
 # fork-from-snapshot vs boot-from-image timings (see DESIGN.md).

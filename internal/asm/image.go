@@ -11,6 +11,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sort"
+	"sync"
 
 	"repro/internal/isa"
 )
@@ -38,24 +39,40 @@ type Image struct {
 	// DataEnd is the first address past the data segment; the kernel
 	// places the program break (heap start) here.
 	DataEnd uint32
+
+	// symIdx is SymbolAt's index, built once on first use: one entry per
+	// symbol address, in address order.
+	symOnce sync.Once
+	symIdx  []SymbolEntry
 }
 
 // SymbolAt resolves addr to the nearest preceding symbol, returning its
 // name and the offset of addr within it. Used for human-readable alerts.
+// Compiler-internal labels (names starting with '.') never resolve, and of
+// several symbols at one address the smallest name wins. The first call
+// indexes the symbol table, which must not change afterwards; any number
+// of goroutines may call SymbolAt concurrently.
 func (im *Image) SymbolAt(addr uint32) (string, uint32) {
-	bestName, bestAddr, found := "", uint32(0), false
-	for name, a := range im.Symbols {
-		if len(name) > 0 && name[0] == '.' {
-			continue // compiler-internal label
-		}
-		if a <= addr && (!found || a > bestAddr || (a == bestAddr && name < bestName)) {
-			bestName, bestAddr, found = name, a, true
-		}
-	}
-	if !found {
+	im.symOnce.Do(im.indexSymbols)
+	i := sort.Search(len(im.symIdx), func(i int) bool { return im.symIdx[i].Addr > addr })
+	if i == 0 {
 		return "", addr
 	}
-	return bestName, addr - bestAddr
+	e := im.symIdx[i-1]
+	return e.Name, addr - e.Addr
+}
+
+// indexSymbols builds symIdx: the symbols SymbolAt may name, keeping the
+// smallest name at each address.
+func (im *Image) indexSymbols() {
+	for _, e := range im.SortedSymbols() {
+		if len(e.Name) > 0 && e.Name[0] == '.' {
+			continue // compiler-internal label
+		}
+		if n := len(im.symIdx); n == 0 || im.symIdx[n-1].Addr != e.Addr {
+			im.symIdx = append(im.symIdx, e)
+		}
+	}
 }
 
 // SortedSymbols returns the symbol table as (name, addr) pairs in address

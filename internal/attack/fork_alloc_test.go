@@ -44,10 +44,11 @@ func BenchmarkForkSession(b *testing.B) {
 }
 
 // forkSessionAllocBudget bounds the heap a warm wu-ftpd fork session
-// allocates. Forks share the snapshot's predecoded blocks, so a session
-// pays for its own state — memory pages it writes, the kernel and network
-// copies, the dialogue — and nothing proportional to the text segment.
-const forkSessionAllocBudget = 96 << 10
+// allocates. Forks share the snapshot's predecoded blocks and compiled
+// superblocks, so a session pays for its own state — memory pages it
+// writes, the kernel and network copies, the dialogue — and nothing
+// proportional to the text segment or its hot traces.
+const forkSessionAllocBudget = 32 << 10
 
 // TestForkSessionAllocBudget holds BenchmarkForkSession's bytes per
 // session, averaged over 100 warm sessions, to forkSessionAllocBudget.

@@ -121,8 +121,9 @@ func (m *CovMap) Edges() int {
 // SetCovMap attaches (or, with nil, detaches) an edge coverage map. The
 // caller owns the map and must not share one live map between CPUs.
 // Coverage is not inherited across Fork: each forked run attaches its own.
-// Compiled superblocks are dropped (heat is kept, so hot traces
-// recompile on their next dispatch): attach/detach is a harness regime
+// The machine's superblocks are dropped (heat is kept, so hot traces are
+// taken up again on their next dispatch, on a shared table by reusing the
+// published trace): attach/detach is a harness regime
 // change, and re-specializing under the new regime keeps the trace tier
 // free of any assumption about the old one. Superblocks record the same
 // per-iteration edges the block path would, so coverage maps stay

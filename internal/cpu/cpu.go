@@ -119,14 +119,21 @@ type CPU struct {
 	text     *blockTable
 	seen     []uint64
 
-	// Superblock tier (superblock.go): sblocks[o] caches the compiled
-	// trace entered at the block of ordinal o (sbUnfusable marks failed
-	// builds), sbHeat counts block-path dispatches toward sbHotThreshold,
-	// and sbOff disables the tier. Never shared: forks drop both and
-	// recount.
-	sblocks []*superblock
-	sbHeat  []uint16
-	sbOff   bool
+	// Superblock tier (superblock.go): sblocks[o] is the compiled trace
+	// this machine enters at the block of ordinal o (sbUnfusable marks
+	// failed builds and retired traces), sbHeat counts block-path
+	// dispatches toward sbHotThreshold, sbBad counts the entries that
+	// retired nothing or failed the guard, and sbOff disables the tier.
+	// The traces are immutable and, on a shared table, published in it for
+	// the whole family; the three slices are this machine's own, and a
+	// fork starts them empty. sbShared holds while every trace in sblocks
+	// came from the current table while it was shared: none of them can
+	// then go stale, so dispatch skips the liveness walk.
+	sblocks  []*superblock
+	sbHeat   []uint16
+	sbBad    []uint8
+	sbOff    bool
+	sbShared bool
 	// sbInval remembers why compiled state was last invalidated so a
 	// later !live() discovery at dispatch can attribute the deopt to a
 	// reason (stats.go). Zero value = self-modify, the only cause that

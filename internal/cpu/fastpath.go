@@ -560,7 +560,7 @@ chain:
 			}
 			if sb := c.sblocks[o]; sb == nil {
 				if c.sbHeat[o] >= sbHotThreshold {
-					c.sblocks[o] = c.buildSuperblock(idx)
+					c.sblocks[o], c.sbBad[o] = c.compileSuperblock(idx), 0
 				} else {
 					c.sbHeat[o]++
 				}
@@ -568,11 +568,14 @@ chain:
 				sbSkip = ^uint32(0) // consumed: the block path takes this one dispatch
 			} else if sb != sbUnfusable {
 				switch {
-				case !sb.live(c):
+				case !c.sbShared && !sb.live(c):
 					// A constituent block was rebuilt or invalidated
 					// (self-modifying store, probe flush, fact drop);
 					// recompile only after the entry re-heats. Counted as
-					// a deopt under the cause that killed the trace.
+					// a deopt under the cause that killed the trace. Only
+					// a machine holding traces from a table it has since
+					// changed can get here: a shared table's slots never
+					// change.
 					c.stats.SuperblockDeopts++
 					switch c.sbInval {
 					case sbInvalProbe:
@@ -598,7 +601,7 @@ chain:
 						sbSkip = ^uint32(0)
 					} else {
 						sbSkip = idx
-						if sb.badEntries++; sb.badEntries > sbMaxBadEntries {
+						if c.sbBad[o]++; c.sbBad[o] > sbMaxBadEntries {
 							c.sblocks[o] = sbUnfusable
 						}
 					}
@@ -611,7 +614,7 @@ chain:
 						c.stats.SuperblockDeopts++
 						c.stats.SbDeoptTaintedEntry++
 					}
-					if sb.badEntries++; sb.badEntries > sbMaxBadEntries {
+					if c.sbBad[o]++; c.sbBad[o] > sbMaxBadEntries {
 						c.sblocks[o] = sbUnfusable
 					}
 				}

@@ -16,13 +16,20 @@ import (
 // A table nobody shares yet (a freshly loaded CPU, or one that left its
 // family) is written in place. Once ShareText marks it shared it only
 // grows: the first member to reach a block builds it and publishes it with
-// CompareAndSwap, and every other member reuses that immutable decBlock. A
-// member about to change a block input first leaves for a private copy
-// (ownText), so its siblings never see the change.
+// CompareAndSwap, and every other member reuses that immutable decBlock.
+// The same holds one tier up: the first member to compile the superblock
+// entered at a slot publishes it there, and every other member that heats
+// the entry reuses it. A member about to change a block input first leaves
+// for a private copy (ownText), so its siblings never see the change — or,
+// when it only drops its static facts and holds no superblock state yet,
+// joins the family's fact-free sibling table (dropFacts).
 type blockTable struct {
 	slots  []textSlot
 	ords   atomic.Uint32 // block ordinals handed out so far
 	shared bool
+	// factFree is the shared table of the family's members that dropped
+	// their static facts (factFreeSibling); nil until the first one does.
+	factFree atomic.Pointer[blockTable]
 }
 
 // textSlot is one text word's entry in a blockTable.
@@ -30,6 +37,7 @@ type textSlot struct {
 	block atomic.Pointer[decBlock]        // the block entered at this word
 	ins   atomic.Pointer[isa.Instruction] // the decoded word, for stepOne
 	ord   atomic.Uint32                   // block ordinal + 1; 0 until the first publish
+	sb    atomic.Pointer[superblock]      // the trace compiled here; shared tables only
 }
 
 // newBlockTable returns an unshared table for a text segment of n words.
@@ -68,6 +76,8 @@ func (t *blockTable) publish(s *textSlot, b *decBlock) *decBlock {
 // On a shared table it leaves the family for a private copy seeded with
 // exactly the blocks this machine has dispatched, every decoded word, and
 // the ordinals handed out so far; on an unshared table it does nothing.
+// Published superblocks stay behind: the machine's own compiled traces
+// still pin the blocks it took along, and it compiles any others itself.
 func (c *CPU) ownText() {
 	t := c.text
 	if t == nil || !t.shared {
@@ -89,6 +99,50 @@ func (c *CPU) ownText() {
 		}
 	}
 	c.text = p
+	c.sbShared = false
+}
+
+// factFreeSibling returns the shared table of the family members that
+// dropped their static facts, building it on first use. It starts with
+// the family's decoded words and no blocks; its members then publish
+// fact-free blocks and superblocks into it as into any shared table.
+func (t *blockTable) factFreeSibling() *blockTable {
+	if s := t.factFree.Load(); s != nil {
+		return s
+	}
+	s := newBlockTable(len(t.slots))
+	s.shared = true
+	for i := range t.slots {
+		s.slots[i].ins.Store(t.slots[i].ins.Load())
+	}
+	if !t.factFree.CompareAndSwap(nil, s) {
+		s = t.factFree.Load()
+	}
+	return s
+}
+
+// dropFacts drops the static facts and every predecoded block built with
+// them, for InjectAt and SetStaticFacts(nil). A family member that holds
+// no superblock state yet — a fork that has not dispatched since Fork —
+// joins the family's fact-free table instead of copying and clearing a
+// private one, so armed forks share blocks and superblocks with each
+// other. With no superblock state, no block ordinal of the old table is
+// in use. Like flushBlocks, the join forgets every first dispatch, so
+// the machine counts the same BlockMisses either way. A member whose
+// facts are already nil is on a fact-free table and rejoins it.
+func (c *CPU) dropFacts() {
+	t := c.text
+	if t == nil || !t.shared || c.sbHeat != nil {
+		c.staticFacts = nil
+		c.flushBlocks()
+		return
+	}
+	if c.staticFacts != nil {
+		c.text = t.factFreeSibling()
+		c.staticFacts = nil
+	}
+	clear(c.seen)
+	c.sbShared = true
 }
 
 // ShareText makes the CPU's predecoded text the shared table of a snapshot
@@ -104,10 +158,11 @@ func (c *CPU) ShareText() {
 
 // Fork returns a copy of the CPU wired to bus and handler. Registers,
 // taint vectors, register homes, pc, pipeline, statistics, and halt state
-// are value-copied; the block table is shared with the snapshot family
-// (ShareText runs first if it has not already) and only the first-dispatch
-// bitset is copied, so forking costs one bit per text word rather than a
-// copy of the predecoded text. The image is shared — it is immutable after
+// are value-copied; the block table, with the blocks and superblocks
+// compiled into it, is shared with the snapshot family (ShareText runs
+// first if it has not already) and only the first-dispatch bitset is
+// copied, so forking costs one bit per text word rather than a copy of the
+// predecoded text. The image is shared — it is immutable after
 // assembly. Tracing is not inherited. Probe tables are cloned but the
 // probe functions themselves are shared, so snapshot-time probes should be
 // host-state-free.
@@ -136,10 +191,13 @@ func (c *CPU) Fork(bus Bus, handler SyscallHandler) *CPU {
 	// Same for the coverage hit map: sharing one across concurrent forks
 	// would race, so each fuzzing run attaches its own via SetCovMap.
 	n.cov = nil
-	// Superblocks pin decBlock pointers and carry a mutable badEntries
-	// counter, and the heat slice is written per dispatch; neither may
-	// be shared across forks. Forks re-heat and recompile their own.
-	n.sblocks, n.sbHeat = nil, nil
+	// Heat and bad-entry counts are written per dispatch, so each fork
+	// keeps its own and re-heats from zero: it enters a trace exactly when
+	// a lone machine would. The compiled traces themselves are published
+	// in the shared table, so a fork that heats an entry a sibling has
+	// compiled reuses that trace instead of compiling its own.
+	n.sblocks, n.sbHeat, n.sbBad = nil, nil, nil
+	n.sbShared = true
 	// The fork starts with the snapshot's first-dispatch record: a block
 	// the snapshot had dispatched is a BlockHit here, as if inherited.
 	if c.seen != nil {

@@ -3,6 +3,7 @@ package cpu
 import (
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"testing"
 
 	"repro/internal/asm"
@@ -76,16 +77,25 @@ type family struct {
 // newFamily boots familyProg, runs it to familySnapAt, and snapshots it
 // the way attack.Machine.Snapshot does: a frozen CPU over frozen memory
 // that only forks.
-func newFamily(t *testing.T) *family {
+func newFamily(t *testing.T) *family { return bootFamily(t, familyProg, familySnapAt, false) }
+
+// bootFamily boots src, runs it to at retired instructions, and snapshots
+// it as newFamily does. With facts, the origin carries a static-fact slice
+// (all zero: it proves nothing), so forks that drop their facts leave the
+// family's table.
+func bootFamily(t *testing.T, src string, at uint64, facts bool) *family {
 	t.Helper()
-	im, err := asm.AssembleString(familyProg)
+	im, err := asm.AssembleString(src)
 	if err != nil {
 		t.Fatalf("assemble: %v", err)
 	}
 	m := mem.New()
 	c := New(Config{Bus: m, Policy: taint.PolicyPointerTaintedness, Handler: &testHandler{memory: m}, Image: im})
 	c.LoadImage(m, im)
-	if err := c.RunFast(familySnapAt); err == nil {
+	if facts {
+		c.SetStaticFacts(make([]uint8, c.text.words()))
+	}
+	if err := c.RunFast(at); err == nil {
 		t.Fatal("origin halted before the snapshot point")
 	}
 	c.ShareText()
@@ -242,5 +252,43 @@ func TestForkLeavesFamilyOnBlockInputChange(t *testing.T) {
 		if got, want := seeded.text.slots[i].block.Load() != nil, f.snap.seenAt(idx); got != want {
 			t.Errorf("word %d: private block present %v, snapshot saw it %v", i, got, want)
 		}
+	}
+}
+
+// TestDroppedFactsJoinFactFreeTable: InjectAt or SetStaticFacts(nil) on a
+// fork that has not run moves it to the family's fact-free table, one per
+// family, and forgets its first dispatches; a fork already holding
+// superblock state leaves for a private copy instead, and a fork whose
+// facts are already nil stays where it is.
+func TestDroppedFactsJoinFactFreeTable(t *testing.T) {
+	f := bootFamily(t, familyProg, familySnapAt, true)
+	armed, _ := f.fork()
+	armed.InjectAt(1<<40, func(*CPU) {})
+	cleared, _ := f.fork()
+	cleared.SetStaticFacts(nil)
+	if armed.text == f.snap.text || !armed.text.shared || cleared.text != armed.text {
+		t.Fatalf("dropping facts did not join one shared fact-free table")
+	}
+	if armed.staticFacts != nil || slices.ContainsFunc(armed.seen, func(w uint64) bool { return w != 0 }) {
+		t.Errorf("the join kept facts or first dispatches")
+	}
+	again := armed.text
+	armed.InjectAt(1<<41, func(*CPU) {})
+	if armed.text != again {
+		t.Errorf("a fork on the fact-free table left it when armed again")
+	}
+	ran, _ := f.fork()
+	if err := ran.RunFast(familySnapAt + 600); err == nil {
+		t.Fatal("fork halted before its arming point")
+	}
+	ran.InjectAt(familySnapAt+700, func(*CPU) {})
+	if ran.text == f.snap.text || ran.text == again || ran.text.shared {
+		t.Errorf("a fork holding superblock state did not leave for a private table")
+	}
+	plain := newFamily(t)
+	nofacts, _ := plain.fork()
+	nofacts.InjectAt(1<<40, func(*CPU) {})
+	if nofacts.text != plain.snap.text {
+		t.Errorf("a fork with no facts to drop left its family's table")
 	}
 }

@@ -64,14 +64,15 @@ func (c *CPU) recoverGuestFault(err *error) {
 // The trigger is honored identically by Run and RunFast: the fast path
 // truncates its block chains at the trigger count, so an injection lands
 // at the same instruction boundary as under the reference interpreter.
-// Arming drops the static analyzer's facts and the predecoded blocks
-// carrying them: an injector may taint state the analysis proved clean,
-// and the proof must not outlive it.
+// Arming drops the static analyzer's facts and the predecoded blocks and
+// superblocks built with them: an injector may taint state the analysis
+// proved clean, and the proof must not outlive it. A fork armed before it
+// first runs joins its family's shared fact-free table, so armed forks
+// reuse the blocks and traces any of them built (dropFacts).
 func (c *CPU) InjectAt(n uint64, fn func(*CPU)) {
 	c.injectAt, c.injectFn = n, fn
-	c.staticFacts = nil
 	c.sbInval = sbInvalInject
-	c.flushBlocks()
+	c.dropFacts()
 }
 
 // fireInjection runs and disarms a due injection callback. Split from the

@@ -20,7 +20,7 @@ func (c *CPU) LoadImage(m *mem.Memory, im *asm.Image) {
 			c.textEnd = seg.Addr + uint32(n)*4
 			c.text = newBlockTable(n)
 			c.seen = make([]uint64, (n+63)/64)
-			c.sblocks, c.sbHeat = nil, nil
+			c.sblocks, c.sbHeat, c.sbBad, c.sbShared = nil, nil, nil, false
 		}
 	}
 	c.pc = im.Entry

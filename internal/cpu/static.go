@@ -30,10 +30,13 @@ func TaintSources(in isa.Instruction) (a, b isa.Register) {
 // the predecode cache (facts[i] covers textBase + 4i). A nil slice — or
 // one whose length does not match the text segment — clears the facts.
 // Existing predecoded blocks are flushed so they are rebuilt carrying
-// the new bits. Call after LoadImage and before execution.
+// the new bits; clearing the facts on a fresh fork joins the family's
+// fact-free table instead (dropFacts). Call after LoadImage and before
+// execution.
 func (c *CPU) SetStaticFacts(facts []uint8) {
-	if facts != nil && len(facts) != c.text.words() {
-		facts = nil
+	if facts == nil || len(facts) != c.text.words() {
+		c.dropFacts()
+		return
 	}
 	c.staticFacts = facts
 	c.flushBlocks()

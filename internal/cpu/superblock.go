@@ -37,10 +37,10 @@ const (
 	sbMaxOps = 256
 	// sbMinOps rejects degenerate traces not worth the entry guard.
 	sbMinOps = 2
-	// sbMaxBadEntries retires a superblock whose entry guard keeps
-	// failing or whose first instruction keeps deoptimizing, so a loop
-	// that is structurally fusable but dynamically tainted stops paying
-	// the guard on every dispatch.
+	// sbMaxBadEntries retires a superblock, for one machine, whose entry
+	// guard keeps failing or whose first instruction keeps deoptimizing
+	// there, so a loop that is structurally fusable but dynamically tainted
+	// stops paying the guard on every dispatch.
 	sbMaxBadEntries = 64
 )
 
@@ -97,14 +97,22 @@ type sbExit struct {
 // while every part is still the block in its table slot, which makes
 // every existing invalidation path (self-modifying stores, probe
 // registration, fact drops, fault injection) invalidate superblocks
-// with no extra hooks.
+// with no extra hooks. On a shared table no slot ever changes, so a trace
+// compiled there stays live.
 type sbPart struct {
 	idx uint32
 	b   *decBlock
 }
 
-// superblock is one compiled trace, keyed by the ordinal of its entry
-// block (decBlock.ord).
+// superblock is one compiled trace, held per machine by the ordinal of
+// its entry block (decBlock.ord) and published in a shared table's slot
+// of its entry word. It is immutable once built, since family members may
+// be running it concurrently; what a machine learns about a trace (heat,
+// bad entries) lives in its own sbHeat and sbBad. parts also records the
+// build's walk, in order: the blocks whose first dispatch the build
+// performs. A build whose walk cannot be fused keeps only its parts (ops
+// is nil), so that a machine reusing the result counts the same first
+// dispatches.
 type superblock struct {
 	ops         []sbOp
 	exits       []sbExit
@@ -114,11 +122,10 @@ type superblock struct {
 	entryPC     uint32
 	hz0a, hz0b  uint8 // first op's hazard sources (entry-edge stall check)
 	branchGuard bool  // prop.BranchUntaint() at build time
-	badEntries  uint32
 }
 
-// sbUnfusable marks an entry pc whose trace cannot be fused, so the
-// dispatch stops re-attempting the build.
+// sbUnfusable marks, per machine, an entry pc whose trace cannot be
+// fused or was retired, so the dispatch stops re-attempting it.
 var sbUnfusable = &superblock{}
 
 // SetSuperblocks enables or disables the superblock tier (enabled by
@@ -127,28 +134,66 @@ var sbUnfusable = &superblock{}
 func (c *CPU) SetSuperblocks(on bool) {
 	c.sbOff = !on
 	if !on {
-		c.sblocks, c.sbHeat = nil, nil
+		c.sblocks, c.sbHeat, c.sbBad = nil, nil, nil
 	}
 }
 
-// flushSuperblocks drops every compiled superblock but keeps the heat
-// counters, so hot entries recompile on their next dispatch.
+// flushSuperblocks drops every superblock this machine has compiled or
+// retired but keeps the heat counters, so hot entries compile again on
+// their next dispatch — on a shared table by reusing the published trace.
 func (c *CPU) flushSuperblocks() {
 	for i := range c.sblocks {
 		c.sblocks[i] = nil
 	}
 }
 
-// growSuperblocks extends the per-ordinal superblock and heat slices to
-// cover ordinal o, at least to every ordinal the table has handed out so
-// far: a fork of a warm snapshot sizes them once, not per new block.
+// growSuperblocks extends the per-ordinal superblock, heat and bad-entry
+// slices to cover ordinal o, at least to every ordinal the table has
+// handed out so far: a fork of a warm snapshot sizes them once, not per
+// new block.
 func (c *CPU) growSuperblocks(o uint32) {
 	n := max(int(c.text.ords.Load()), 2*len(c.sbHeat), int(o)+1)
 	sblocks := make([]*superblock, n)
 	copy(sblocks, c.sblocks)
 	heat := make([]uint16, n)
 	copy(heat, c.sbHeat)
-	c.sblocks, c.sbHeat = sblocks, heat
+	bad := make([]uint8, n)
+	copy(bad, c.sbBad)
+	c.sblocks, c.sbHeat, c.sbBad = sblocks, heat, bad
+}
+
+// compileSuperblock returns the trace this machine enters at block index
+// idx once the entry is hot. On a shared table it reuses the trace a
+// family member published at idx, or builds and publishes one. Reuse
+// replays the first dispatches the build's walk performed and this
+// machine has not, so its block counters read exactly as if it had built
+// the trace itself. A shared table's blocks never change, and
+// buildSuperblock reads nothing else a member can change without leaving
+// the table (prop is fixed at New), so the published trace is the one
+// this machine would build.
+func (c *CPU) compileSuperblock(idx uint32) *superblock {
+	var sb *superblock
+	if !c.text.shared {
+		sb = c.buildSuperblock(idx)
+	} else if s := &c.text.slots[idx]; s.sb.Load() == nil {
+		if sb = c.buildSuperblock(idx); !s.sb.CompareAndSwap(nil, sb) {
+			// A sibling published first; its walk was this build's, so
+			// the first dispatches are already counted.
+			sb = s.sb.Load()
+		}
+	} else {
+		sb = s.sb.Load()
+		for _, p := range sb.parts {
+			if !c.seenAt(p.idx) {
+				c.firstDispatch(p.idx)
+				c.stats.BlockMisses++
+			}
+		}
+	}
+	if sb.ops == nil {
+		return sbUnfusable
+	}
+	return sb
 }
 
 // live reports whether every constituent block is still the block in its
@@ -186,28 +231,33 @@ func (c *CPU) sbHomesDirty(mask uint32) bool {
 	return false
 }
 
-// buildSuperblock compiles the trace entered at block index idx, or
-// returns sbUnfusable. The trace follows fall-through edges, expected
+// buildSuperblock compiles the trace entered at block index idx. When the
+// walk cannot be fused it returns a superblock holding only the walk's
+// parts (ops nil). The trace follows fall-through edges, expected
 // branch directions (a conditional whose target is the entry pc is the
 // loop-back, expected taken; any other conditional is expected not
 // taken), and unconditional in-text jumps, and must close back to the
 // entry pc; it ends unfusable at calls, register jumps, traps,
 // undecodable words, internal revisits, or sbMaxOps.
 func (c *CPU) buildSuperblock(idx uint32) *superblock {
+	entryPC := c.textBase + idx*4
+	sb := &superblock{entryPC: entryPC, branchGuard: c.prop.BranchUntaint()}
 	// Near-edge text forces per-op nextPC checks in StepBlock
 	// (forceTail); keep superblocks out of that regime entirely.
 	if c.textBase < nullPage || c.textEnd > ^uint32(0)-uint32(maxBlockLen)*4 {
-		return sbUnfusable
+		return sb
 	}
-	entryPC := c.textBase + idx*4
-	sb := &superblock{entryPC: entryPC, branchGuard: c.prop.BranchUntaint()}
+	// unfusable keeps only the walk, for machines reusing this result.
+	unfusable := func() *superblock {
+		sb.ops, sb.exits, sb.liveIn = nil, nil, nil
+		return sb
+	}
 	sb.exits = append(sb.exits, sbExit{pc: entryPC, loadDst: isa.RegZero})
 	var (
 		run         sbExit // pre-op running totals at the current position
 		writtenMask uint32
 		liveMask    uint32
 		lastLoad    = isa.RegZero
-		visited     = map[uint32]bool{}
 		closed      bool
 	)
 	addExit := func(e sbExit) uint16 {
@@ -227,14 +277,15 @@ func (c *CPU) buildSuperblock(idx uint32) *superblock {
 	}
 	cur := idx
 	for !closed {
-		if visited[cur] {
-			return sbUnfusable // revisit that is not the entry: no single loop head
+		for i := range sb.parts {
+			if sb.parts[i].idx == cur {
+				return unfusable() // revisit that is not the entry: no single loop head
+			}
 		}
-		visited[cur] = true
 		b := c.text.slots[cur].block.Load()
 		if !c.seenAt(cur) {
 			if b = c.firstDispatch(cur); b == nil {
-				return sbUnfusable
+				return unfusable()
 			}
 			c.stats.BlockMisses++
 		}
@@ -244,7 +295,7 @@ func (c *CPU) buildSuperblock(idx uint32) *superblock {
 		for i := range b.ins {
 			d := &b.ins[i]
 			if len(sb.ops) >= sbMaxOps || d.fop == sbNone {
-				return sbUnfusable // too long, or a call, register jump or trap
+				return unfusable() // too long, or a call, register jump or trap
 			}
 			// The retire-stage hazard check reads the pipeline's loadDst
 			// after the current instruction's memory effect has updated
@@ -376,7 +427,7 @@ func (c *CPU) buildSuperblock(idx uint32) *superblock {
 					closed = true
 				} else {
 					if tgt < c.textBase || (tgt-c.textBase)&3 != 0 {
-						return sbUnfusable
+						return unfusable()
 					}
 					next = (tgt - c.textBase) >> 2
 				}
@@ -397,12 +448,12 @@ func (c *CPU) buildSuperblock(idx uint32) *superblock {
 			break
 		}
 		if next >= uint32(len(c.text.slots)) {
-			return sbUnfusable
+			return unfusable()
 		}
 		cur = next
 	}
 	if len(sb.ops) < sbMinOps {
-		return sbUnfusable
+		return unfusable()
 	}
 	sb.iter = run
 	return sb

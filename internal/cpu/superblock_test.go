@@ -275,10 +275,10 @@ func TestSuperblockCovMapAttach(t *testing.T) {
 	}
 }
 
-// TestSuperblockForkIsolation: compiled superblocks pin mutable per-CPU
-// state and must not cross a Fork. Each fork re-heats, recompiles, and
-// converges to the same final state as a reference run of the same
-// program.
+// TestSuperblockForkIsolation: a fork inherits neither its snapshot's
+// compiled superblocks nor their heat. Each fork re-heats from zero, then
+// compiles the trace or reuses the one a sibling published, and converges
+// to the same final state as a reference run of the same program.
 func TestSuperblockForkIsolation(t *testing.T) {
 	ref, refM := sbBoot(t, sbHotLoop)
 	refErr := ref.Run(1_000_000)

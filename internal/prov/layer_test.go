@@ -3,6 +3,7 @@ package prov
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -115,4 +116,96 @@ func TestLayersReadOneParentConcurrently(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// scanOrigins is Origins as a recursive walk with a visited map and a
+// sort by origin index: the definition the iterative walk must match.
+func scanOrigins(t *Table, l Label) []Origin {
+	seen := map[Label]bool{}
+	var ids []int32
+	var visit func(Label)
+	visit = func(l Label) {
+		if l == 0 || seen[l] {
+			return
+		}
+		seen[l] = true
+		if n := t.node(l); n.origin >= 0 {
+			ids = append(ids, n.origin)
+		} else {
+			visit(n.a)
+			visit(n.b)
+		}
+	}
+	if l != 0 && int(l) <= t.NumLabels() {
+		visit(l)
+	}
+	if len(ids) == 0 {
+		return nil
+	}
+	slices.Sort(ids)
+	out := make([]Origin, len(ids))
+	for i, id := range ids {
+		out[i] = t.origin(id)
+	}
+	return out
+}
+
+// TestOriginsMatchScan resolves every label of deep and shared DAGs —
+// a long union chain, a ladder of diamonds whose rungs share every
+// operand, and random DAGs layered three deep — and holds Origins to
+// scanOrigins. The walks interleave across labels and tables of different
+// sizes, so a visit mark left over from an earlier walk would show.
+func TestOriginsMatchScan(t *testing.T) {
+	src := func(tb *Table, i int) Label {
+		return tb.Source(Origin{Syscall: "read", Offset: uint64(i), Len: 1})
+	}
+	check := func(name string, tb *Table) {
+		t.Helper()
+		for l := Label(tb.NumLabels() + 1); l > 0; l-- {
+			if got, want := tb.Origins(l), scanOrigins(tb, l); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: label %d resolves to %v, scan gives %v", name, l, got, want)
+			}
+		}
+	}
+
+	chain := NewTable()
+	acc := src(chain, 0)
+	for i := 1; i < 500; i++ {
+		acc = chain.Union(src(chain, i), acc)
+	}
+	check("chain", chain)
+	if got := len(chain.Origins(acc)); got != 500 {
+		t.Fatalf("chain head resolves to %d origins, want 500", got)
+	}
+
+	ladder := NewTable()
+	a, b := src(ladder, 0), src(ladder, 1)
+	for i := 0; i < 200; i++ {
+		l, r := ladder.Union(a, b), ladder.Union(b, src(ladder, i+2))
+		a, b = ladder.Union(l, r), r
+	}
+	check("ladder", ladder)
+
+	rng := rand.New(rand.NewSource(7))
+	grow := func(tb *Table, n int) {
+		for i := 0; i < n; i++ {
+			if k := tb.NumLabels(); k == 0 || rng.Intn(3) == 0 {
+				src(tb, i)
+			} else {
+				tb.Union(Label(1+rng.Intn(k)), Label(1+rng.Intn(k)))
+			}
+		}
+	}
+	base := NewTable()
+	grow(base, 600)
+	mid := base.Layer()
+	grow(mid, 400)
+	top := mid.Layer()
+	grow(top, 300)
+	for _, c := range []struct {
+		name string
+		tb   *Table
+	}{{"top", top}, {"base", base}, {"mid", mid}, {"chain again", chain}} {
+		check(c.name, c.tb)
+	}
 }

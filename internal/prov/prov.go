@@ -18,8 +18,9 @@ package prov
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
+	"sync"
 )
 
 // Label identifies a provenance DAG node in a Table. The zero Label means
@@ -202,7 +203,12 @@ func (t *Table) place(idx uint32) {
 // origin-allocation (input-arrival) order. The zero label resolves to
 // nil.
 func (t *Table) Origins(l Label) []Origin {
-	ids := t.originIndices(l)
+	if l == 0 || int(l) > t.NumLabels() {
+		return nil
+	}
+	w := walkPool.Get().(*walk)
+	defer walkPool.Put(w)
+	ids := w.originIndices(t, l)
 	if len(ids) == 0 {
 		return nil
 	}
@@ -213,33 +219,50 @@ func (t *Table) Origins(l Label) []Origin {
 	return out
 }
 
-// originIndices walks the DAG under l iteratively and returns the sorted
-// set of leaf origin indices.
-func (t *Table) originIndices(l Label) []int32 {
-	if l == 0 || int(l) > t.NumLabels() {
-		return nil
+// walk is the reusable working memory of one DAG walk: the stack, the
+// origin indices found, and a visit stamp per label. A label is visited
+// in this walk when its mark equals stamp, so no walk clears the marks.
+type walk struct {
+	stack []Label
+	ids   []int32
+	mark  []uint32
+	stamp uint32
+}
+
+// walkPool recycles walks, so Origins allocates only its result and stays
+// a read of the table that any number of goroutines may make at once.
+var walkPool = sync.Pool{New: func() any { return new(walk) }}
+
+// originIndices walks the DAG under l (a label of t) iteratively and
+// returns the sorted set of leaf origin indices, valid until the walk's
+// next use. A union's operands are older labels than the union, so every
+// label the walk reaches is at most l.
+func (w *walk) originIndices(t *Table, l Label) []int32 {
+	if n := int(l) + 1; len(w.mark) < n {
+		w.mark = append(w.mark, make([]uint32, n-len(w.mark))...)
 	}
-	var (
-		ids     []int32
-		stack   = []Label{l}
-		visited = map[Label]bool{}
-	)
-	for len(stack) > 0 {
-		cur := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if cur == 0 || visited[cur] {
+	if w.stamp++; w.stamp == 0 {
+		clear(w.mark)
+		w.stamp = 1
+	}
+	w.stack = append(w.stack[:0], l)
+	w.ids = w.ids[:0]
+	for len(w.stack) > 0 {
+		cur := w.stack[len(w.stack)-1]
+		w.stack = w.stack[:len(w.stack)-1]
+		if cur == 0 || w.mark[cur] == w.stamp {
 			continue
 		}
-		visited[cur] = true
+		w.mark[cur] = w.stamp
 		n := t.node(cur)
 		if n.origin >= 0 {
-			ids = append(ids, n.origin)
+			w.ids = append(w.ids, n.origin)
 			continue
 		}
-		stack = append(stack, n.a, n.b)
+		w.stack = append(w.stack, n.a, n.b)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
+	slices.Sort(w.ids)
+	return w.ids
 }
 
 // NumOrigins reports how many input origins have been recorded.
