@@ -239,13 +239,17 @@ func (c *CPU) invalidateText(addr uint32, width int) {
 }
 
 // HostWrote tells the machine that host code — the kernel's copy-out —
-// stored n bytes at addr through its bus. Predecoded text the write
-// overlaps is dropped exactly as for a guest store: a guest reading input
-// over its own code must not keep running stale blocks, nor publish blocks
-// decoded from text its snapshot siblings do not hold.
+// stored n bytes at addr through its bus. It has a guest store's side
+// effects: predecoded text the write overlaps is dropped, so a guest
+// reading input over its own code neither keeps running stale blocks nor
+// publishes blocks decoded from text its snapshot siblings do not hold;
+// and every register whose memory home the write overlaps loses it, so a
+// later compare on the stale register cannot write its untaint through
+// to the new bytes.
 func (c *CPU) HostWrote(addr uint32, n int) {
 	if n > 0 {
 		c.invalidateText(addr, n)
+		c.invalidateHomes(addr, n)
 	}
 }
 
