@@ -250,15 +250,11 @@ const hotLoopSrc = `
 `
 
 // BenchmarkStepFastPath compares the predecoded basic-block fast path
-// (with and without static provably-clean facts) against the reference
-// one-instruction interpreter on the hot loop; the ns/instr metric is
-// the headline per-instruction simulation cost. The clean-heavy hot
-// loop must retire instructions through the static skip path
-// (static-skips/instr > 0 for "fast") at no ns/instr regression versus
-// "fast-nostatic".
+// against the reference one-instruction interpreter on the hot loop; the
+// ns/instr metric is the headline per-instruction simulation cost.
 func BenchmarkStepFastPath(b *testing.B) {
-	run := func(b *testing.B, reference, noStatic bool) {
-		var total, skips uint64
+	run := func(b *testing.B, reference bool) {
+		var total uint64
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
 			m, err := core.BuildC(core.Config{
@@ -267,9 +263,6 @@ func BenchmarkStepFastPath(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if noStatic {
-				m.CPU.SetStaticFacts(nil)
-			}
 			b.StartTimer()
 			runErr := m.Run()
 			var ee *core.ExitError
@@ -277,14 +270,11 @@ func BenchmarkStepFastPath(b *testing.B) {
 				b.Fatal(runErr)
 			}
 			total += m.Stats().Instructions
-			skips += m.Stats().StaticCleanSkips
 		}
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(total), "ns/instr")
-		b.ReportMetric(float64(skips)/float64(total), "static-skips/instr")
 	}
-	b.Run("fast", func(b *testing.B) { run(b, false, false) })
-	b.Run("fast-nostatic", func(b *testing.B) { run(b, false, true) })
-	b.Run("reference", func(b *testing.B) { run(b, true, false) })
+	b.Run("fast", func(b *testing.B) { run(b, false) })
+	b.Run("reference", func(b *testing.B) { run(b, true) })
 }
 
 // BenchmarkSPECStepFastPath runs each SPEC analogue under both

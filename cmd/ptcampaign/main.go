@@ -23,7 +23,6 @@ import (
 
 	"repro/internal/attack"
 	"repro/internal/campaign"
-	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/taint"
 )
@@ -84,9 +83,7 @@ type benchReport struct {
 
 	// Metrics is the deterministic value-wise merge of every session
 	// machine's metrics snapshot (plus the per-session instruction
-	// histogram) — identical at any worker count — merged once with the
-	// process-wide counters (the static-fact cache) at report time, so
-	// global state is not multiplied by the session count.
+	// histogram), identical at any worker count.
 	Metrics metrics.Snapshot `json:"metrics"`
 }
 
@@ -171,7 +168,7 @@ func run(args []string, w *os.File) error {
 		Errors:            sum.Errors,
 		Retries:           sum.Retries,
 		Outcomes:          sum.Outcomes,
-		Metrics:           sum.Metrics.Merge(processMetrics()),
+		Metrics:           sum.Metrics,
 	}
 	if sum.Instructions > 0 {
 		rep.NsPerInstr = float64(elapsed.Nanoseconds()) / float64(sum.Instructions)
@@ -252,12 +249,4 @@ func minInt(a, b int) int {
 		return a
 	}
 	return b
-}
-
-// processMetrics snapshots the process-wide counters that belong in the
-// report exactly once — not per session.
-func processMetrics() metrics.Snapshot {
-	r := metrics.New()
-	core.FillStaticCacheMetrics(r)
-	return r.Snapshot()
 }

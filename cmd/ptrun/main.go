@@ -156,8 +156,8 @@ func run(args []string) (int, error) {
 			s.Instructions, p.Cycles, p.CPI(s.Instructions), s.Loads, s.Stores, s.Syscalls,
 			m.InputStats().TaintedBytes)
 		if *fast {
-			fmt.Fprintf(os.Stderr, "block-hits=%d block-misses=%d clean-skips=%d clean-skip-rate=%.3f static-clean-skips=%d\n",
-				s.BlockHits, s.BlockMisses, s.CleanSkips, s.CleanSkipRate(), s.StaticCleanSkips)
+			fmt.Fprintf(os.Stderr, "block-hits=%d block-misses=%d clean-skips=%d clean-skip-rate=%.3f\n",
+				s.BlockHits, s.BlockMisses, s.CleanSkips, s.CleanSkipRate())
 		}
 		if *withCache {
 			l1, l2 := m.CacheStats()

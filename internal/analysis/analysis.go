@@ -91,9 +91,24 @@ func (r *Result) ChainAt(pc uint32) string {
 	return ""
 }
 
-// Facts returns the per-text-word static fact bits
-// (cpu.FactOperandsClean | cpu.FactAddrClean) for cpu.SetStaticFacts.
-// The returned slice is shared; callers must not mutate it.
+// Static facts are per-text-word bits, each a proof obligation the
+// analyzer discharged for every execution reaching that instruction. No
+// execution tier consumes them: the machine checks taint dynamically on
+// every path, and the soundness tests hold each bit to what the
+// reference interpreter observes.
+const (
+	// FactOperandsClean: both taint-source registers (cpu.TaintSources)
+	// of this ALU/shift instruction are provably untainted here.
+	FactOperandsClean uint8 = 1 << 0
+	// FactAddrClean: the address register of this load/store/jr is
+	// provably untainted here, so the pointer-taintedness check cannot
+	// fire.
+	FactAddrClean uint8 = 1 << 1
+)
+
+// Facts returns the per-text-word static fact bits (FactOperandsClean |
+// FactAddrClean); facts[i] covers the text word at TextBase + 4i. The
+// returned slice is shared; callers must not mutate it.
 func (r *Result) Facts() []uint8 { return r.facts }
 
 func (r *Result) idx(pc uint32) int {
@@ -307,7 +322,7 @@ func (p *program) extract() *Result {
 			if s.regs[a].t == May || s.regs[b].t == May {
 				poisonOps[w] = true
 			} else {
-				r.facts[w] |= cpu.FactOperandsClean
+				r.facts[w] |= FactOperandsClean
 			}
 		}
 	}
@@ -323,10 +338,10 @@ func (p *program) extract() *Result {
 		if poisonAddr[i] {
 			r.verdicts[i] = MayDereferenceTainted
 		} else if r.verdicts[i] == ProvablyClean {
-			r.facts[i] |= cpu.FactAddrClean
+			r.facts[i] |= FactAddrClean
 		}
 		if poisonOps[i] {
-			r.facts[i] &^= cpu.FactOperandsClean
+			r.facts[i] &^= FactOperandsClean
 		}
 	}
 	return r

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/asm"
-	"repro/internal/cpu"
 	"repro/internal/progs"
 	"repro/internal/taint"
 )
@@ -58,7 +57,7 @@ storew:	sw $t1, 4($t0)
 	}
 	facts := res.Facts()
 	i := int((im.Symbols["loadw"] - res.TextBase) / 4)
-	if facts[i]&cpu.FactAddrClean == 0 {
+	if facts[i]&FactAddrClean == 0 {
 		t.Fatalf("loadw missing FactAddrClean")
 	}
 }
@@ -427,7 +426,7 @@ func TestFactsMatchVerdicts(t *testing.T) {
 			}
 			for _, s := range res.Sites() {
 				i := int((s.PC - res.TextBase) / 4)
-				hasFact := res.Facts()[i]&cpu.FactAddrClean != 0
+				hasFact := res.Facts()[i]&FactAddrClean != 0
 				if (s.Verdict == ProvablyClean) != hasFact {
 					t.Fatalf("pc %#x: verdict %v but FactAddrClean=%v", s.PC, s.Verdict, hasFact)
 				}

@@ -6,8 +6,8 @@
 // site — are the static complement of the CPU's dynamic detectors:
 // every dynamic tainted-dereference alert must land on an instruction
 // the analyzer did NOT prove clean (the soundness test holds it to
-// that), and instructions it did prove clean let the fast path drop
-// their runtime taint checks (cpu.FactOperandsClean/FactAddrClean).
+// that), and every per-instruction fact it records (FactOperandsClean,
+// FactAddrClean) must hold on every execution the tests replay.
 package analysis
 
 import "fmt"

@@ -111,9 +111,8 @@ func TestSoundnessAndLintOnExploitedPaths(t *testing.T) {
 }
 
 // TestSoundnessCorpus boots every corpus program benignly on the fast
-// path (static facts installed) under the pointer policy; any alert a
-// run raises must lie in the static may-alert set, and runs must agree
-// with the facts-free reference on alert presence.
+// path under the pointer policy; any alert a run raises must lie in the
+// static may-alert set.
 func TestSoundnessCorpus(t *testing.T) {
 	for _, p := range progs.All() {
 		p := p

@@ -118,7 +118,7 @@ type Config struct {
 	// Reference forces the classic one-instruction Step interpreter
 	// instead of the predecoded basic-block fast path (the default). The
 	// two are behaviourally identical; the reference path exists for
-	// cross-checking and debugging, so it never consumes static facts.
+	// cross-checking and debugging.
 	Reference bool
 	// Provenance enables taint-provenance tracking: every external input
 	// byte (read/recv, argv, env) gets an origin label, Table 1
@@ -255,15 +255,6 @@ func BootImage(cfg Config, im *asm.Image) (machine *Machine, err error) {
 	}
 	for path, data := range cfg.Files {
 		k.FS.WriteFile(path, data)
-	}
-	if !cfg.Reference {
-		// Static provably-clean facts let the fast path skip runtime
-		// taint checks; the reference interpreter never consumes them, so
-		// it stays an independent oracle. A bailed or failed analysis
-		// just leaves the machine purely dynamic.
-		if facts := staticFactsFor(im, cfg.Prop); facts != nil {
-			c.SetStaticFacts(facts)
-		}
 	}
 	m := &Machine{
 		Image: im, Kernel: k, CPU: c, Mem: physical, Caches: hier,

@@ -140,14 +140,6 @@ type CPU struct {
 	// can fire without going through a tagged entry point.
 	sbInval uint8
 
-	// staticFacts holds per-text-word proof bits from the static analyzer
-	// (SetStaticFacts); nil when no analysis is installed. The slice is
-	// read-only — forks alias it — and is dropped wholesale whenever its
-	// proofs could stop holding: a store into text (the analyzed program
-	// changed) or a probe registration (a probe may rewrite registers and
-	// taint behind the analysis's back).
-	staticFacts []uint8
-
 	// injectFn, when non-nil, is a one-shot fault-injection callback armed
 	// by InjectAt (guard.go) to fire at the first instruction boundary
 	// where stats.Instructions >= injectAt. Run and RunFast honor it at
@@ -220,13 +212,6 @@ func (c *CPU) invalidateText(addr uint32, width int) {
 	}
 	c.sbInval = sbInvalSelfModify
 	c.ownText()
-	if c.staticFacts != nil {
-		// Self-modifying text voids the whole-program analysis, not just
-		// the stored-to words; drop every fact and every block carrying
-		// predecoded fact bits.
-		c.staticFacts = nil
-		c.flushBlocks()
-	}
 	lastIdx := ^uint32(0)
 	for i := 0; i < width; i++ {
 		idx := (addr + uint32(i) - c.textBase) >> 2
@@ -323,9 +308,6 @@ func (c *CPU) AddProbe(pc uint32, fn func(*CPU)) {
 		c.probes = make(map[uint32][]func(*CPU))
 	}
 	c.probes[pc] = append(c.probes[pc], fn)
-	// A probe may rewrite registers or taint mid-run, invalidating the
-	// static analyzer's proofs; drop them for this machine.
-	c.staticFacts = nil
 	c.sbInval = sbInvalProbe
 	// A probed pc must be a block entry so StepBlock runs its probes;
 	// rebuilt blocks will stop short of it.

@@ -28,7 +28,6 @@ type decIns struct {
 	fop    uint8        // dense op code (denseOps) shared by both fast tiers
 	isLoad bool
 	ctl    bool   // control transfer: the only ops whose nextPC needs the pc checks
-	static uint8  // FactOperandsClean/FactAddrClean bits from SetStaticFacts
 	imm    uint32 // extended immediate, shift amount, lui constant or memory offset; 0 in register forms
 }
 
@@ -181,6 +180,13 @@ func taintSources(in isa.Instruction) (a, b isa.Register) {
 	return isa.RegZero, isa.RegZero
 }
 
+// TaintSources exposes the operand-register mapping of the clean-operand
+// short-circuit, so the static analyzer reasons about exactly the
+// registers whose taint the runtime reads.
+func TaintSources(in isa.Instruction) (a, b isa.Register) {
+	return taintSources(in)
+}
+
 // flushBlocks drops every predecoded block. Called when a probe is added:
 // blocks must never span a probed pc except at their entry, where StepBlock
 // runs the probes.
@@ -275,9 +281,6 @@ func (c *CPU) buildBlock(idx uint32) *decBlock {
 		}
 		if forceTail {
 			d.ctl = true
-		}
-		if widx := idx + uint32(i); widx < uint32(len(c.staticFacts)) {
-			d.static = c.staticFacts[widx]
 		}
 		b.ins[i] = d
 		// Share the work with the per-word decode so the reference fallback
@@ -511,7 +514,7 @@ func (c *CPU) StepBlock(max uint64) error {
 	// instruction budget, any fault or alert, or a pc the block cache
 	// cannot serve.
 	pc := c.pc
-	var done, cleanN, staticN, cyc, stalls uint64
+	var done, cleanN, cyc, stalls uint64
 	prevDst := c.pipe.loadDst
 	// sbSkip suppresses superblock re-entry at one index after a deopt
 	// that retired nothing: the block path must execute the deopting
@@ -539,7 +542,7 @@ chain:
 			executed := c.stats.Instructions + done
 			if executed >= max {
 				c.pc = pc
-				c.flushRetired(done, cleanN, staticN)
+				c.flushRetired(done, cleanN)
 				c.flushPipe(cyc, stalls, prevDst)
 				return &StepBudgetError{PC: pc, Steps: executed}
 			}
@@ -570,7 +573,7 @@ chain:
 				switch {
 				case !c.sbShared && !sb.live(c):
 					// A constituent block was rebuilt or invalidated
-					// (self-modifying store, probe flush, fact drop);
+					// (self-modifying store, probe flush);
 					// recompile only after the entry re-heats. Counted as
 					// a deopt under the cause that killed the trace. Only
 					// a machine holding traces from a table it has since
@@ -580,8 +583,6 @@ chain:
 					switch c.sbInval {
 					case sbInvalProbe:
 						c.stats.SbDeoptProbe++
-					case sbInvalInject:
-						c.stats.SbDeoptInjectAt++
 					default:
 						c.stats.SbDeoptSelfModify++
 					}
@@ -590,9 +591,9 @@ chain:
 				case (max == 0 || max-(c.stats.Instructions+done) >= uint64(len(sb.ops))) &&
 					c.sbEntryClean(sb):
 					c.pc = pc
-					c.flushRetired(done, cleanN, staticN)
+					c.flushRetired(done, cleanN)
 					c.flushPipe(cyc, stalls, prevDst)
-					done, cleanN, staticN, cyc, stalls = 0, 0, 0, 0, 0
+					done, cleanN, cyc, stalls = 0, 0, 0, 0
 					c.stats.SuperblockRuns++
 					npc, progressed := c.runSuperblock(sb, max)
 					pc = npc
@@ -627,10 +628,7 @@ chain:
 			clean := false
 			switch d.kind {
 			case isa.KindALU:
-				// A static FactOperandsClean proof stands in for the dynamic
-				// operand-taint read (the differential harness cross-checks it).
-				if sp := d.static & FactOperandsClean; sp != 0 ||
-					c.regTaint[d.srcA]|c.regTaint[d.srcB] == taint.None {
+				if c.regTaint[d.srcA]|c.regTaint[d.srcB] == taint.None {
 					// The add family (address arithmetic, loop counters)
 					// dominates; run it without the execALUClean call.
 					if d.fop == sbADDri || d.fop == sbADDrr {
@@ -639,7 +637,6 @@ chain:
 						c.execALUClean(d)
 					}
 					clean = true
-					staticN += uint64(sp) // FactOperandsClean is bit 0
 				} else {
 					if c.events != nil && c.prov != nil {
 						// The provenance hook takes its pc and retired
@@ -648,9 +645,9 @@ chain:
 						// sync the lazy state for it. Only tainted-operand
 						// work pays this.
 						c.pc = pc
-						c.flushRetired(done, cleanN, staticN)
+						c.flushRetired(done, cleanN)
 						c.flushPipe(cyc, stalls, prevDst)
-						done, cleanN, staticN, cyc, stalls = 0, 0, 0, 0, 0
+						done, cleanN, cyc, stalls = 0, 0, 0, 0
 					}
 					c.execALU(d.in, pc, c.stats.Instructions+done)
 				}
@@ -668,40 +665,34 @@ chain:
 						// propagators can produce tainted results, and
 						// pointer-taint events, here too.
 						c.pc = pc
-						c.flushRetired(done, cleanN, staticN)
+						c.flushRetired(done, cleanN)
 						c.flushPipe(cyc, stalls, prevDst)
-						done, cleanN, staticN, cyc, stalls = 0, 0, 0, 0, 0
+						done, cleanN, cyc, stalls = 0, 0, 0, 0
 					}
 					c.execALU(d.in, pc, c.stats.Instructions+done)
 				}
 			case isa.KindShift:
-				if sp := d.static & FactOperandsClean; sp != 0 ||
-					c.regTaint[d.srcA]|c.regTaint[d.srcB] == taint.None {
+				if c.regTaint[d.srcA]|c.regTaint[d.srcB] == taint.None {
 					c.execALUClean(d)
 					clean = true
-					staticN += uint64(sp) // FactOperandsClean is bit 0
 				} else {
 					if c.events != nil && c.prov != nil {
 						c.pc = pc
-						c.flushRetired(done, cleanN, staticN)
+						c.flushRetired(done, cleanN)
 						c.flushPipe(cyc, stalls, prevDst)
-						done, cleanN, staticN, cyc, stalls = 0, 0, 0, 0, 0
+						done, cleanN, cyc, stalls = 0, 0, 0, 0
 					}
 					c.execShift(d.in, pc, c.stats.Instructions+done)
 				}
 			case isa.KindLoad, isa.KindStore:
-				// FactAddrClean proves the address register untainted, so the
-				// pointer-taintedness probe is vacuous without reading the
-				// dynamic taint state.
-				spMem := d.static & FactAddrClean
-				if c.flatMem != nil && (spMem != 0 || c.regTaint[d.srcA] == taint.None) {
-					staticN += uint64(spMem) >> 1 // FactAddrClean is bit 1
-					// No detector or cache penalty applies; skip the bus
-					// interface and the policy probe entirely. Word accesses
-					// to clean in-bounds aligned addresses dominate, so they
-					// additionally skip the execMemFast call; every other
-					// case (other widths, fault paths, tainted store values
-					// that may hit a watch) takes it.
+				if c.flatMem != nil && c.regTaint[d.srcA] == taint.None {
+					// No detector or cache penalty applies to an untainted
+					// address; skip the bus interface and the policy probe
+					// entirely. Word accesses to clean in-bounds aligned
+					// addresses dominate, so they additionally skip the
+					// execMemFast call; every other case (other widths,
+					// fault paths, tainted store values that may hit a
+					// watch) takes it.
 					if addr := c.regs[d.srcA] + d.imm; d.fop == sbLW &&
 						addr >= nullPage && addr&3 == 0 {
 						w, wv := c.flatMem.WordAt(addr)
@@ -727,7 +718,7 @@ chain:
 						c.stats.Stores++
 						prevDst = isa.RegZero
 					} else if err := c.execMemFast(d, pc, c.stats.Instructions+done); err != nil {
-						c.flushRetired(done, cleanN, staticN)
+						c.flushRetired(done, cleanN)
 						c.flushPipe(cyc, stalls, prevDst)
 						return err
 					} else if d.isLoad {
@@ -738,9 +729,9 @@ chain:
 					}
 				} else {
 					c.pc = pc
-					c.flushRetired(done, cleanN, staticN)
+					c.flushRetired(done, cleanN)
 					c.flushPipe(cyc, stalls, prevDst)
-					done, cleanN, staticN, cyc, stalls = 0, 0, 0, 0, 0
+					done, cleanN, cyc, stalls = 0, 0, 0, 0
 					if err := c.execMem(d.in); err != nil {
 						return err
 					}
@@ -779,19 +770,16 @@ chain:
 				}
 				c.pipe.Jump()
 			case isa.KindJumpReg:
-				// FactAddrClean on a jr proves the target register untainted,
-				// and on an untainted target the control-hijack detector
+				// On an untainted target the control-hijack detector
 				// (CheckJumpReg) is vacuous under every policy: skip it.
-				if d.static&FactAddrClean != 0 {
-					staticN++
-				} else if tv := c.regTaint[d.in.Rs]; tv != taint.None {
+				if tv := c.regTaint[d.in.Rs]; tv != taint.None {
 					// Sync the lazy state so the event's retired count and
 					// the alert are exact, then run the detector (tainted jr
 					// is a once-per-run event, usually an alert).
 					c.pc = pc
-					c.flushRetired(done, cleanN, staticN)
+					c.flushRetired(done, cleanN)
 					c.flushPipe(cyc, stalls, prevDst)
-					done, cleanN, staticN, cyc, stalls = 0, 0, 0, 0, 0
+					done, cleanN, cyc, stalls = 0, 0, 0, 0
 					if c.events != nil {
 						c.events.Emit(Event{
 							Kind:   EvDerefCheck,
@@ -824,9 +812,9 @@ chain:
 				c.pipe.Jump()
 			case isa.KindSystem:
 				c.pc = pc
-				c.flushRetired(done, cleanN, staticN)
+				c.flushRetired(done, cleanN)
 				c.flushPipe(cyc, stalls, prevDst)
-				done, cleanN, staticN, cyc, stalls = 0, 0, 0, 0, 0
+				done, cleanN, cyc, stalls = 0, 0, 0, 0
 				switch d.in.Op {
 				case isa.OpSYSCALL:
 					if c.handler == nil {
@@ -870,13 +858,13 @@ chain:
 				// null-page nextPC; straight-line flow stays inside text.
 				if nextPC&3 != 0 {
 					c.pc = nextPC
-					c.flushRetired(done, cleanN, staticN)
+					c.flushRetired(done, cleanN)
 					c.flushPipe(cyc, stalls, prevDst)
 					return c.fault("misaligned pc")
 				}
 				if nextPC < nullPage {
 					c.pc = nextPC
-					c.flushRetired(done, cleanN, staticN)
+					c.flushRetired(done, cleanN)
 					c.flushPipe(cyc, stalls, prevDst)
 					return c.fault("segmentation fault: jump into the null page")
 				}
@@ -891,24 +879,22 @@ chain:
 		}
 		if c.halted || c.probes != nil {
 			c.pc = pc
-			c.flushRetired(done, cleanN, staticN)
+			c.flushRetired(done, cleanN)
 			c.flushPipe(cyc, stalls, prevDst)
 			return nil
 		}
 	}
 	c.pc = pc
-	c.flushRetired(done, cleanN, staticN)
+	c.flushRetired(done, cleanN)
 	c.flushPipe(cyc, stalls, prevDst)
 	return c.stepOne()
 }
 
 // flushRetired credits done batched block-retirements into the per-step
-// counters: cleanN took a clean-operand short-circuit, staticN of those
-// on the strength of a static fact rather than a dynamic taint read.
-func (c *CPU) flushRetired(done, cleanN, staticN uint64) {
+// counters, cleanN of them having taken a clean-operand short-circuit.
+func (c *CPU) flushRetired(done, cleanN uint64) {
 	c.stats.Instructions += done
 	c.stats.CleanSkips += cleanN
-	c.stats.StaticCleanSkips += staticN
 	c.stats.TaintedSteps += done - cleanN
 }
 

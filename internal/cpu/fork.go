@@ -9,9 +9,8 @@ import (
 
 // blockTable is the predecoded text of one snapshot family: a loaded CPU
 // and every CPU forked from it, directly or through further snapshots, for
-// as long as none of them changes a block input — the text bytes, the
-// probe set, or the static facts. Slot i covers the text word at
-// textBase + 4i.
+// as long as none of them changes a block input — the text bytes or the
+// probe set. Slot i covers the text word at textBase + 4i.
 //
 // A table nobody shares yet (a freshly loaded CPU, or one that left its
 // family) is written in place. Once ShareText marks it shared it only
@@ -20,16 +19,11 @@ import (
 // The same holds one tier up: the first member to compile the superblock
 // entered at a slot publishes it there, and every other member that heats
 // the entry reuses it. A member about to change a block input first leaves
-// for a private copy (ownText), so its siblings never see the change — or,
-// when it only drops its static facts and holds no superblock state yet,
-// joins the family's fact-free sibling table (dropFacts).
+// for a private copy (ownText), so its siblings never see the change.
 type blockTable struct {
 	slots  []textSlot
 	ords   atomic.Uint32 // block ordinals handed out so far
 	shared bool
-	// factFree is the shared table of the family's members that dropped
-	// their static facts (factFreeSibling); nil until the first one does.
-	factFree atomic.Pointer[blockTable]
 }
 
 // textSlot is one text word's entry in a blockTable.
@@ -100,49 +94,6 @@ func (c *CPU) ownText() {
 	}
 	c.text = p
 	c.sbShared = false
-}
-
-// factFreeSibling returns the shared table of the family members that
-// dropped their static facts, building it on first use. It starts with
-// the family's decoded words and no blocks; its members then publish
-// fact-free blocks and superblocks into it as into any shared table.
-func (t *blockTable) factFreeSibling() *blockTable {
-	if s := t.factFree.Load(); s != nil {
-		return s
-	}
-	s := newBlockTable(len(t.slots))
-	s.shared = true
-	for i := range t.slots {
-		s.slots[i].ins.Store(t.slots[i].ins.Load())
-	}
-	if !t.factFree.CompareAndSwap(nil, s) {
-		s = t.factFree.Load()
-	}
-	return s
-}
-
-// dropFacts drops the static facts and every predecoded block built with
-// them, for InjectAt and SetStaticFacts(nil). A family member that holds
-// no superblock state yet — a fork that has not dispatched since Fork —
-// joins the family's fact-free table instead of copying and clearing a
-// private one, so armed forks share blocks and superblocks with each
-// other. With no superblock state, no block ordinal of the old table is
-// in use. Like flushBlocks, the join forgets every first dispatch, so
-// the machine counts the same BlockMisses either way. A member whose
-// facts are already nil is on a fact-free table and rejoins it.
-func (c *CPU) dropFacts() {
-	t := c.text
-	if t == nil || !t.shared || c.sbHeat != nil {
-		c.staticFacts = nil
-		c.flushBlocks()
-		return
-	}
-	if c.staticFacts != nil {
-		c.text = t.factFreeSibling()
-		c.staticFacts = nil
-	}
-	clear(c.seen)
-	c.sbShared = true
 }
 
 // ShareText makes the CPU's predecoded text the shared table of a snapshot

@@ -3,7 +3,6 @@ package cpu
 import (
 	"fmt"
 	"hash/fnv"
-	"slices"
 	"testing"
 
 	"repro/internal/asm"
@@ -77,13 +76,11 @@ type family struct {
 // newFamily boots familyProg, runs it to familySnapAt, and snapshots it
 // the way attack.Machine.Snapshot does: a frozen CPU over frozen memory
 // that only forks.
-func newFamily(t *testing.T) *family { return bootFamily(t, familyProg, familySnapAt, false) }
+func newFamily(t *testing.T) *family { return bootFamily(t, familyProg, familySnapAt) }
 
 // bootFamily boots src, runs it to at retired instructions, and snapshots
-// it as newFamily does. With facts, the origin carries a static-fact slice
-// (all zero: it proves nothing), so forks that drop their facts leave the
-// family's table.
-func bootFamily(t *testing.T, src string, at uint64, facts bool) *family {
+// it as newFamily does.
+func bootFamily(t *testing.T, src string, at uint64) *family {
 	t.Helper()
 	im, err := asm.AssembleString(src)
 	if err != nil {
@@ -92,9 +89,6 @@ func bootFamily(t *testing.T, src string, at uint64, facts bool) *family {
 	m := mem.New()
 	c := New(Config{Bus: m, Policy: taint.PolicyPointerTaintedness, Handler: &testHandler{memory: m}, Image: im})
 	c.LoadImage(m, im)
-	if facts {
-		c.SetStaticFacts(make([]uint8, c.text.words()))
-	}
 	if err := c.RunFast(at); err == nil {
 		t.Fatal("origin halted before the snapshot point")
 	}
@@ -173,9 +167,6 @@ var forkKinds = []forkKind{
 		c.SetCovMap(cov)
 		return observe(c, m, c.RunFast(1_000_000), cov)
 	}},
-	{"facts-nil", func(t *testing.T, f *family) forkResult {
-		return runFork(f, func(c *CPU) { c.SetStaticFacts(nil) })
-	}},
 	{"snapshot-of-fork", func(t *testing.T, f *family) forkResult {
 		// Run a fork into the hot loop, snapshot it, and run a fork of that.
 		mid, midMem := f.fork()
@@ -193,8 +184,8 @@ var forkKinds = []forkKind{
 // the same fork run after siblings of every kind have warmed the family's
 // table must be indistinguishable — alerts, Stats (block and superblock
 // counters included), pipeline cycles, registers, memory and coverage.
-// Forks that leave the family (probe, inject, self-modify, facts-nil)
-// must also leave their siblings' next sessions unchanged.
+// Forks that leave the family (probe, self-modify) must also leave their
+// siblings' next sessions unchanged.
 func TestBlockTableWarmMatchesCold(t *testing.T) {
 	coldPlain := forkKinds[0].run(t, newFamily(t))
 	if coldPlain.stats.Alerts != 1 || coldPlain.stats.SuperblockRuns == 0 || coldPlain.stats.BlockMisses == 0 {
@@ -255,40 +246,53 @@ func TestForkLeavesFamilyOnBlockInputChange(t *testing.T) {
 	}
 }
 
-// TestDroppedFactsJoinFactFreeTable: InjectAt or SetStaticFacts(nil) on a
-// fork that has not run moves it to the family's fact-free table, one per
-// family, and forgets its first dispatches; a fork already holding
-// superblock state leaves for a private copy instead, and a fork whose
-// facts are already nil stays where it is.
-func TestDroppedFactsJoinFactFreeTable(t *testing.T) {
-	f := bootFamily(t, familyProg, familySnapAt, true)
-	armed, _ := f.fork()
-	armed.InjectAt(1<<40, func(*CPU) {})
-	cleared, _ := f.fork()
-	cleared.SetStaticFacts(nil)
-	if armed.text == f.snap.text || !armed.text.shared || cleared.text != armed.text {
-		t.Fatalf("dropping facts did not join one shared fact-free table")
-	}
-	if armed.staticFacts != nil || slices.ContainsFunc(armed.seen, func(w uint64) bool { return w != 0 }) {
-		t.Errorf("the join kept facts or first dispatches")
-	}
-	again := armed.text
-	armed.InjectAt(1<<41, func(*CPU) {})
-	if armed.text != again {
-		t.Errorf("a fork on the fact-free table left it when armed again")
-	}
-	ran, _ := f.fork()
-	if err := ran.RunFast(familySnapAt + 600); err == nil {
-		t.Fatal("fork halted before its arming point")
-	}
-	ran.InjectAt(familySnapAt+700, func(*CPU) {})
-	if ran.text == f.snap.text || ran.text == again || ran.text.shared {
-		t.Errorf("a fork holding superblock state did not leave for a private table")
-	}
-	plain := newFamily(t)
-	nofacts, _ := plain.fork()
-	nofacts.InjectAt(1<<40, func(*CPU) {})
-	if nofacts.text != plain.snap.text {
-		t.Errorf("a fork with no facts to drop left its family's table")
+// TestArmedForkStaysInFamily: arming an injection changes no block input,
+// so a fork armed before its first run or mid-run keeps its family's
+// table and its first-dispatch record. Its twin, an unarmed sibling that
+// pauses at the same instruction counts, has already published every
+// block the armed fork dispatches: the armed fork builds none of them and
+// counts the same first dispatches.
+func TestArmedForkStaysInFamily(t *testing.T) {
+	const fire = familySnapAt + 700
+	for _, armAt := range []uint64{0, familySnapAt + 600} {
+		t.Run(fmt.Sprintf("arm-at-%d", armAt), func(t *testing.T) {
+			f := newFamily(t)
+			run := func(armed bool) *CPU {
+				c, _ := f.fork()
+				if armAt != 0 {
+					if err := c.RunFast(armAt); err == nil {
+						t.Fatal("fork halted before its arming point")
+					}
+				}
+				if armed {
+					// The injection taints a register the guest never
+					// reads, so the armed run takes its twin's path.
+					c.InjectAt(fire, func(c *CPU) {
+						c.SetReg(isa.RegS5, c.Reg(isa.RegS5), taint.Word)
+					})
+					if c.text != f.snap.text {
+						t.Fatalf("arming left the family's table")
+					}
+				} else if err := c.RunFast(fire); err == nil {
+					t.Fatal("twin halted before the trigger count")
+				}
+				if err := c.RunFast(1_000_000); err == nil {
+					t.Fatal("fork ran to completion without its alert")
+				}
+				return c
+			}
+			twin := run(false)
+			published := f.snap.text.ords.Load()
+			armed := run(true)
+			if armed.text != f.snap.text {
+				t.Errorf("the armed run left the family's table")
+			}
+			if now := f.snap.text.ords.Load(); now != published {
+				t.Errorf("the armed fork built %d blocks its twin had published", now-published)
+			}
+			if got, want := armed.Stats().BlockMisses, twin.Stats().BlockMisses; got != want {
+				t.Errorf("armed fork counted %d first dispatches, its twin %d", got, want)
+			}
+		})
 	}
 }

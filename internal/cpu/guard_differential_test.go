@@ -312,9 +312,8 @@ cell:
 		m := bootASM(t, src, attack.Options{Budget: 100_000, Reference: reference})
 		m.CPU.InjectAt(5_000, func(c *cpu.CPU) {
 			// Spurious taint on the pointer register: the next lw
-			// dereferences a tainted address and the policy must alert —
-			// identically on both engines, which also proves the fast
-			// path dropped any static provably-clean facts when armed.
+			// dereferences a tainted address and the policy must alert,
+			// identically on both engines.
 			c.SetReg(isa.RegT1, c.Reg(isa.RegT1), taint.Word)
 		})
 		return m, m.Run()

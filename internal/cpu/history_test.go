@@ -89,15 +89,13 @@ var historyKinds = []struct {
 // sequence and then from two goroutines, mixing plain, armed and covmap
 // forks. Every fork must read exactly like the first fork of its kind:
 // Stats, pipeline, registers, memory and coverage. Forks publish and
-// reuse compiled superblocks through the family's tables (the armed ones
-// through its fact-free sibling, since the snapshot carries facts), and
-// each one's
-// traces take bad entries (tainted entries, budget clamps) whose total
+// reuse compiled superblocks through the family's table, armed ones
+// included, and each one's traces take bad entries (tainted entries, budget clamps) whose total
 // over the family passes sbMaxBadEntries many times over; a trace that
 // carried what one machine learned about it to the next would show here.
 func TestForkHistoryIndependence(t *testing.T) {
 	const forks = 300
-	f := bootFamily(t, historyProg, historySnapAt, true)
+	f := bootFamily(t, historyProg, historySnapAt)
 	first := make([]forkResult, len(historyKinds))
 	for k, kind := range historyKinds {
 		r, c := kind.run(f)

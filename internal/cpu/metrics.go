@@ -19,7 +19,6 @@ func (c *CPU) FillMetrics(r *metrics.Registry) {
 	r.Counter("cpu.block_hits").Add(s.BlockHits)
 	r.Counter("cpu.block_misses").Add(s.BlockMisses)
 	r.Counter("cpu.clean_skips").Add(s.CleanSkips)
-	r.Counter("cpu.static_clean_skips").Add(s.StaticCleanSkips)
 	r.Counter("cpu.tainted_steps").Add(s.TaintedSteps)
 
 	r.Counter("sb.runs").Add(s.SuperblockRuns)

@@ -84,23 +84,12 @@ type Stats struct {
 	//   SelfModify   — a store's range guard found its address inside
 	//                  text, or a text-page invalidation dropped the trace;
 	//   MemFault     — misaligned/null load or store address caught by
-	//                  the trace's address guard before the access;
-	//   InjectAt     — an armed fault injection flushed compiled state.
+	//                  the trace's address guard before the access.
 	SbDeoptTaintedEntry uint64
 	SbDeoptLoadedTaint  uint64
 	SbDeoptProbe        uint64
 	SbDeoptSelfModify   uint64
 	SbDeoptMemFault     uint64
-	SbDeoptInjectAt     uint64
-
-	// StaticCleanSkips counts retirements whose runtime taint check was
-	// skipped on the strength of a static-analysis fact (SetStaticFacts)
-	// rather than a dynamic taint read. Every such retirement with a
-	// clean-operand effect is also counted in CleanSkips, so the
-	// CleanSkips + TaintedSteps == Instructions invariant is unchanged;
-	// jump-register checks skipped statically have no CleanSkips
-	// counterpart (the reference path counts them as TaintedSteps too).
-	StaticCleanSkips uint64
 }
 
 // DeoptReason is one row of the superblock deopt breakdown.
@@ -120,7 +109,6 @@ func (s Stats) DeoptReasons() []DeoptReason {
 		{"probe", s.SbDeoptProbe},
 		{"self-modify", s.SbDeoptSelfModify},
 		{"mem-fault", s.SbDeoptMemFault},
-		{"inject-at", s.SbDeoptInjectAt},
 	}
 }
 

@@ -51,7 +51,6 @@ const (
 const (
 	sbInvalSelfModify = iota
 	sbInvalProbe
-	sbInvalInject
 )
 
 // sbOp flags.
@@ -86,7 +85,7 @@ type sbOp struct {
 // load-use hazard state at that boundary. exits[0] is always the
 // iteration boundary itself (zero partials, resume at the entry pc).
 type sbExit struct {
-	done, clean, static     uint64
+	done, clean             uint64
 	loads, stores, branches uint64
 	cyc, stalls, flush      uint64
 	loadDst                 isa.Register
@@ -96,7 +95,7 @@ type sbExit struct {
 // sbPart pins one constituent basic block: the superblock is live only
 // while every part is still the block in its table slot, which makes
 // every existing invalidation path (self-modifying stores, probe
-// registration, fact drops, fault injection) invalidate superblocks
+// registration) invalidate superblocks
 // with no extra hooks. On a shared table no slot ever changes, so a trace
 // compiled there stays live.
 type sbPart struct {
@@ -334,7 +333,6 @@ func (c *CPU) buildSuperblock(idx uint32) *superblock {
 				read(d.srcB)
 				run.done++
 				run.clean++
-				run.static += uint64(d.static & FactOperandsClean)
 				run.cyc += 1 + hz
 				run.stalls += hz
 				wrote(d.dst)
@@ -353,11 +351,9 @@ func (c *CPU) buildSuperblock(idx uint32) *superblock {
 			case isa.KindLoad:
 				read(d.srcA)
 				op.exit = addExit(pre)
-				st := uint64(d.static&FactAddrClean) >> 1
 				post := pre
 				post.done++
 				post.loads++
-				post.static += st
 				post.cyc += 1 + hz
 				post.stalls += hz
 				post.loadDst = d.dst
@@ -365,7 +361,6 @@ func (c *CPU) buildSuperblock(idx uint32) *superblock {
 				op.exitT = addExit(post)
 				run.done++
 				run.loads++
-				run.static += st
 				run.cyc += 1 + hz
 				run.stalls += hz
 				wrote(d.dst)
@@ -376,7 +371,6 @@ func (c *CPU) buildSuperblock(idx uint32) *superblock {
 				op.exit = addExit(pre)
 				run.done++
 				run.stores++
-				run.static += uint64(d.static&FactAddrClean) >> 1
 				run.cyc += 1 + hz
 				run.stalls += hz
 				lastLoad = isa.RegZero
@@ -474,7 +468,6 @@ func (c *CPU) sbFinish(sb *superblock, iters uint64, e *sbExit, entryExtra uint6
 	c.stats.Instructions += done
 	c.stats.CleanSkips += clean
 	c.stats.TaintedSteps += done - clean
-	c.stats.StaticCleanSkips += iters*it.static + e.static
 	c.stats.Loads += iters*it.loads + e.loads
 	c.stats.Stores += iters*it.stores + e.stores
 	c.stats.Branches += iters*it.branches + e.branches

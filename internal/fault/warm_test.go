@@ -29,8 +29,8 @@ func BenchmarkFaultCampaign(b *testing.B) {
 }
 
 // faultRunAllocBudget bounds the heap one injected run allocates, averaged
-// over a warm campaign. An armed fork joins its family's shared fact-free
-// block table and reuses the superblocks any sibling compiled there, so a
+// over a warm campaign. An armed fork stays on its family's shared block
+// table and reuses the superblocks any sibling compiled there, so a
 // run pays for its own pages, kernel copy, session and report record, and
 // nothing proportional to the text segment or its hot traces.
 const faultRunAllocBudget = 96 << 10

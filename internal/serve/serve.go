@@ -517,9 +517,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 // metricsSnapshot renders the scrape view: the live registry (tenant
 // counters, span histograms, flight counts — counted incrementally, so
 // consecutive scrapes are monotonic), the accumulated per-session machine
-// metrics, and a point-in-time overlay of gauges plus the process-wide
-// static-fact cache (whose counters are cumulative at their source, so
-// re-reading them per scrape stays monotonic too).
+// metrics, and a point-in-time overlay of gauges.
 func (s *Server) metricsSnapshot() metrics.Snapshot {
 	s.mu.Lock()
 	depth := s.queueLen
@@ -541,7 +539,6 @@ func (s *Server) metricsSnapshot() metrics.Snapshot {
 	point.Gauge("serve.draining").Set(draining)
 	point.Gauge("serve.resident_bytes").Set(float64(s.cfg.MemGauge()))
 	point.Gauge("serve.high_water_bytes").Set(float64(s.cfg.HighWater))
-	core.FillStaticCacheMetrics(point)
 
 	s.regMu.Lock()
 	live := s.reg.Snapshot()
