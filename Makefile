@@ -6,7 +6,7 @@ FAULT_SEED ?= 1
 PTFUZZ_SEED ?= 1
 PTFUZZ_EXECS ?= 4000
 
-.PHONY: build vet lint test race race-campaign fault-campaign fuzz fuzz-smoke serve-smoke obs-smoke bench bench-json bench-fuzz bench-superblock bench-obs trace-check ci
+.PHONY: build vet lint test race race-campaign fault-campaign fuzz fuzz-smoke serve-smoke obs-smoke bench bench-check bench-json bench-fuzz bench-superblock bench-obs trace-check ci
 
 build:
 	$(GO) build ./...
@@ -38,8 +38,7 @@ race:
 # fork-isolation and invalidation tests; internal/fuzz prepares targets
 # while sessions run, ptattack drives the boot options end to end, and
 # ptrun drives obs spans around a build and run. internal/core holds the
-# one machine assembler, snapshot/fork and the shared static-fact cache;
-# ptdbg boots through it too. internal/prov rides along because every
+# one machine assembler and snapshot/fork; ptdbg boots through it too. internal/prov rides along because every
 # fork's label table reads its snapshot's frozen table concurrently, and
 # internal/asm because concurrent forks build and read an image's lazy
 # symbol index when they attribute alerts.
@@ -90,6 +89,12 @@ bench:
 	$(GO) test -run '^$$' -bench Candidate -benchmem ./internal/fuzz/
 	$(GO) test -run '^$$' -bench FaultCampaign -benchmem ./internal/fault/
 
+# The end-to-end benchmark harness (bench/, its own module) vetted and
+# tested against the library as it stands, so a library change that
+# breaks the harness's build fails CI.
+bench-check:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
+
 # Machine-readable campaign benchmark: sessions/sec, ns/instr, and
 # fork-from-snapshot vs boot-from-image timings (see DESIGN.md).
 bench-json:
@@ -123,4 +128,4 @@ trace-check:
 	$(GO) test -run 'TestEventSink|TestWrite|TestStream|TestDestReg|TestUsesRt|TestTracer' ./internal/cpu/
 	PTBENCH_GUARD=1 $(GO) test -run 'TestProvenanceBenchGuard|TestSuperblockBenchGuard' -v .
 
-ci: lint build race race-campaign fault-campaign fuzz fuzz-smoke serve-smoke obs-smoke trace-check
+ci: lint build bench-check race race-campaign fault-campaign fuzz fuzz-smoke serve-smoke obs-smoke trace-check
