@@ -78,7 +78,6 @@ func (fc *factChecker) check(c *cpu.CPU) {
 }
 
 func (fc *factChecker) fail(c *cpu.CPU, in isa.Instruction, r isa.Register, fact string) {
-	fc.t.Helper()
 	if fc.failed++; fc.failed <= maxFactFailures {
 		fc.t.Errorf("%s: %s at %#08x (%s) after %d instructions, but %v carries taint %v",
 			fc.name, fact, c.PC(), isa.Disassemble(in, c.PC()), c.Stats().Instructions, r, c.RegTaint(r))
@@ -117,7 +116,7 @@ func TestStaticFactsHoldOnReference(t *testing.T) {
 				t.Fatalf("boot: %v", err)
 			}
 			fc := newFactChecker(t, p.Name, m)
-			m.Run() // any outcome will do: the checker judges each step
+			_ = m.Run() // any outcome will do: the checker judges each step
 			checked += fc.checked
 		})
 	}

@@ -32,17 +32,6 @@ _start:
 	syscall
 `
 
-// homeEngines names the three execution tiers every home test runs on.
-var homeEngines = []struct {
-	name string
-	cfg  Config
-	sb   bool
-}{
-	{"reference", Config{Reference: true}, true},
-	{"block-only", Config{}, false},
-	{"full", Config{}, true},
-}
-
 // TestHostWriteSeversRegisterHome: a read or recv into the bytes a
 // register was loaded from severs the register's memory home, so a
 // compare on the stale register leaves the new input tainted and its
@@ -76,8 +65,17 @@ func TestHostWriteSeversRegisterHome(t *testing.T) {
 	li   $v0, 34
 	syscall`},
 	}
+	engines := []struct {
+		name string
+		cfg  Config
+		sb   bool
+	}{
+		{"reference", Config{Reference: true}, true},
+		{"block-only", Config{}, false},
+		{"full", Config{}, true},
+	}
 	for _, in := range inputs {
-		for _, eng := range homeEngines {
+		for _, eng := range engines {
 			t.Run(in.name+"/"+eng.name, func(t *testing.T) {
 				cfg := eng.cfg
 				if in.port == 0 {
