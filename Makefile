@@ -53,9 +53,12 @@ fault-campaign:
 	$(GO) run ./cmd/ptfault -seed $(FAULT_SEED) -n $(FAULT_N) -check
 
 # Differential fuzzing of the block fast path against the reference
-# interpreter (internal/cpu/fuzz_test.go).
+# interpreter (internal/cpu/fuzz_test.go), then of generated loop nests
+# across the reference, block-only and superblock engines
+# (internal/cpu/sbgen_test.go).
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzStepEquivalence -fuzztime $(FUZZTIME) ./internal/cpu/
+	$(GO) test -run '^$$' -fuzz FuzzSuperblockGen -fuzztime $(FUZZTIME) ./internal/cpu/
 
 # Seeded, bounded attack-fuzzing acceptance run (~seconds): the
 # coverage-guided farm must rediscover all three scripted attack alert
