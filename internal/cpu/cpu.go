@@ -7,6 +7,7 @@
 package cpu
 
 import (
+	"fmt"
 	"io"
 	"math/bits"
 
@@ -140,6 +141,10 @@ type CPU struct {
 	// can fire without going through a tagged entry point.
 	sbInval uint8
 
+	// homeAudit, when non-nil (tests only), checks every compare-untaint
+	// write-through against its home: see untaintWithHome.
+	homeAudit *homeAudit
+
 	// injectFn, when non-nil, is a one-shot fault-injection callback armed
 	// by InjectAt (guard.go) to fire at the first instruction boundary
 	// where stats.Instructions >= injectAt. Run and RunFast honor it at
@@ -259,6 +264,9 @@ func (c *CPU) untaintWithHome(r isa.Register) {
 		return
 	}
 	h := c.regHomes[r]
+	if c.homeAudit != nil {
+		c.homeAudit.check(c, r, h)
+	}
 	if c.flatMem != nil {
 		// On flat memory a write-through of an already-clean byte is a
 		// pure no-op (same data, same taint, no timing port), so only the
@@ -274,6 +282,31 @@ func (c *CPU) untaintWithHome(r isa.Register) {
 	for i := uint32(0); i < uint32(h.width); i++ {
 		b, _ := c.bus.LoadByte(h.addr + i)
 		c.bus.StoreByte(h.addr+i, b, false)
+	}
+}
+
+// homeAudit is the home-mirror invariant, armed by tests: a live home
+// must still hold its register's value (the low width bytes; a narrow
+// load's extension is not in memory), or the write-through would untaint
+// bytes the validated value never came from.
+type homeAudit struct {
+	checked uint64
+	stale   error // the first violation
+}
+
+func (a *homeAudit) check(c *CPU, r isa.Register, h regHome) {
+	if c.flatMem == nil {
+		return // a read through a cache port would be a timed access
+	}
+	var v uint64
+	for i := uint32(0); i < uint32(h.width); i++ {
+		b, _ := c.flatMem.LoadByte(h.addr + i)
+		v |= uint64(b) << (8 * i)
+	}
+	a.checked++
+	if want := uint64(c.regs[r]) & (1<<(8*h.width) - 1); v != want && a.stale == nil {
+		a.stale = fmt.Errorf("pc %#08x after %d instructions: %v = %#x, but its %d-byte home at %#08x holds %#x",
+			c.pc, c.stats.Instructions, r, c.regs[r], h.width, h.addr, v)
 	}
 }
 

@@ -158,9 +158,21 @@ func checkDeoptBreakdown(t *testing.T, engine string, s cpu.Stats) {
 	}
 }
 
+// checkHomeAudits requires both engines' compare-untaint write-throughs
+// to have found every home still mirroring its register.
+func checkHomeAudits(t *testing.T, ref, fast func() (uint64, error)) {
+	t.Helper()
+	_, rerr := ref()
+	_, ferr := fast()
+	if rerr != nil || ferr != nil {
+		t.Errorf("stale register home: reference %v, fast %v", rerr, ferr)
+	}
+}
+
 // TestDifferentialCorpus runs every corpus program — synthetic attacks,
 // false-negative scenarios, application analogues, SPEC analogues — under
-// both interpreters and cross-checks the final states.
+// both interpreters and cross-checks the final states, with the
+// home-mirror invariant armed on both.
 func TestDifferentialCorpus(t *testing.T) {
 	if testing.Short() {
 		t.Skip("differential corpus sweep is slow")
@@ -169,10 +181,13 @@ func TestDifferentialCorpus(t *testing.T) {
 		p := p
 		t.Run(p.Name, func(t *testing.T) {
 			ref := bootCorpus(t, p, taint.PolicyPointerTaintedness, true)
+			refAudit := cpu.AuditHomes(ref.CPU)
 			refErr := ref.Run()
 			fast := bootCorpus(t, p, taint.PolicyPointerTaintedness, false)
+			fastAudit := cpu.AuditHomes(fast.CPU)
 			fastErr := fast.Run()
 			compareMachines(t, ref, fast, refErr, fastErr)
+			checkHomeAudits(t, refAudit, fastAudit)
 		})
 	}
 }

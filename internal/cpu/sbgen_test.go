@@ -390,6 +390,10 @@ type genResult struct {
 	regs   [isa.NumRegisters]uint32
 	taints [isa.NumRegisters]taint.Vec
 	events []Event
+	// audited counts the home write-throughs checked by the home-mirror
+	// invariant; stale is its first violation.
+	audited uint64
+	stale   error
 }
 
 // run boots p on engine e and runs it to completion or the budget.
@@ -416,6 +420,7 @@ func (p *genProg) run(t testing.TB, e genEngine) genResult {
 	}
 	cov := new(CovMap)
 	c.SetCovMap(cov)
+	audit := AuditHomes(c)
 	var runErr error
 	switch e {
 	case genReference:
@@ -436,6 +441,7 @@ func (p *genProg) run(t testing.TB, e genEngine) genResult {
 		regs:  c.regs,
 	}
 	res.halted, _ = c.Halted()
+	res.audited, res.stale = audit()
 	res.taints = c.regTaint
 	var a *SecurityAlert
 	if errors.As(runErr, &a) {
@@ -498,14 +504,20 @@ func genCompare(t testing.TB, seed uint64, e genEngine, ref, got genResult) {
 	if !reflect.DeepEqual(got.events, ref.events) {
 		fail("events", len(ref.events), len(got.events))
 	}
+	if got.stale != nil {
+		t.Errorf("seed %d, %s engine: stale register home: %v", seed, e, got.stale)
+	}
 }
 
 // genCheck runs one seed on all three engines and cross-checks them. It
-// returns the full engine's stats.
-func genCheck(t testing.TB, seed uint64) Stats {
+// returns the full engine's result.
+func genCheck(t testing.TB, seed uint64) genResult {
 	t.Helper()
 	p := genProgram(seed)
 	ref := p.run(t, genReference)
+	if ref.stale != nil {
+		t.Errorf("seed %d, reference engine: stale register home: %v", seed, ref.stale)
+	}
 	block := p.run(t, genBlockOnly)
 	full := p.run(t, genFull)
 	genCompare(t, seed, genBlockOnly, ref, block)
@@ -517,7 +529,7 @@ func genCheck(t testing.TB, seed uint64) Stats {
 	if block.stats.SuperblockRuns != 0 {
 		t.Errorf("seed %d: block-only engine entered %d superblocks", seed, block.stats.SuperblockRuns)
 	}
-	return full.stats
+	return full
 }
 
 // readGenCorpus returns the checked-in seeds.
@@ -553,16 +565,23 @@ func readGenCorpus(t testing.TB) []uint64 {
 func TestSuperblockGenCorpus(t *testing.T) {
 	seeds := readGenCorpus(t)
 	var total Stats
+	var audited uint64
 	hits := make([]uint64, len(total.DeoptReasons()))
 	for _, s := range seeds {
-		st := genCheck(t, s)
+		full := genCheck(t, s)
+		st := full.stats
+		audited += full.audited
 		total.SuperblockInstrs += st.SuperblockInstrs
 		total.Instructions += st.Instructions
 		for i, d := range st.DeoptReasons() {
 			hits[i] += d.Count
 		}
 	}
-	t.Logf("%d programs, %d instructions, %d in superblocks", len(seeds), total.Instructions, total.SuperblockInstrs)
+	t.Logf("%d programs, %d instructions, %d in superblocks, %d home write-throughs audited",
+		len(seeds), total.Instructions, total.SuperblockInstrs, audited)
+	if audited == 0 {
+		t.Errorf("no compare untaint ever wrote through to a home; the home-mirror invariant went unchecked")
+	}
 	if total.SuperblockInstrs*4 < total.Instructions {
 		t.Errorf("superblocks retired %d of %d instructions; the corpus no longer reaches the tier",
 			total.SuperblockInstrs, total.Instructions)
