@@ -79,17 +79,6 @@ const (
 	ShiftRight ShiftDirection = -1 // toward lower-order bytes (SRL/SRA)
 )
 
-// DirectionOf returns the taint-smear direction for a shift opcode.
-func DirectionOf(op isa.Opcode) ShiftDirection {
-	switch op {
-	case isa.OpSLL, isa.OpSLLV:
-		return ShiftLeft
-	case isa.OpSRL, isa.OpSRA, isa.OpSRLV, isa.OpSRAV:
-		return ShiftRight
-	}
-	return ShiftNone
-}
-
 // Smear implements Table 1's shift rule: "If a byte in the operand register
 // is tainted, the taintedness bit of its adjacent byte along the direction
 // of shifting is set to 1."
@@ -169,51 +158,93 @@ type Result struct {
 	UntaintB bool
 }
 
+// Rule is the Table 1 row an instruction's result taint follows.
+type Rule uint8
+
+// Table 1's rules, plus the forms the ablation switches reduce them to.
+// RuleOr is the zero value: every ALU instruction Table 1 does not single
+// out merges its operands' taint byte-wise.
+const (
+	RuleOr         Rule = iota // "Taintedness of R1 = (Taintedness of R2) or (Taintedness of R3)"
+	RuleAnd                    // untaint each byte AND-ed with an untainted zero
+	RuleXor                    // xor r1,r2,r2 is the constant 0: untainted
+	RuleShiftLeft              // smear each tainted byte toward the higher-order one
+	RuleShiftRight             // smear each tainted byte toward the lower-order one
+	RuleShift                  // shift without smearing (DisableShiftSmear)
+	RuleCompare                // untainted 0/1 result; validated operands become untainted
+	RuleConst                  // untainted result, no operand effect (DisableCompareUntaint)
+)
+
+// table1 is Table 1, written once: the rule of every opcode that has
+// one. Loads, stores and control transfers are not ALU work and read
+// RuleOr, which nothing consults.
+var table1 = [isa.NumOpcodes + 1]Rule{
+	isa.OpAND: RuleAnd, isa.OpANDI: RuleAnd,
+	isa.OpXOR: RuleXor, // XORI: an immediate is never the same register
+	isa.OpSLL: RuleShiftLeft, isa.OpSLLV: RuleShiftLeft,
+	isa.OpSRL: RuleShiftRight, isa.OpSRA: RuleShiftRight,
+	isa.OpSRLV: RuleShiftRight, isa.OpSRAV: RuleShiftRight,
+	isa.OpSLT: RuleCompare, isa.OpSLTI: RuleCompare,
+	isa.OpSLTU: RuleCompare, isa.OpSLTIU: RuleCompare,
+}
+
+// Rule returns op's entry of Table 1 as this propagator's ablation
+// switches select it. The reference datapath (Propagate) and the fast
+// tiers both apply the rule returned here.
+func (p *Propagator) Rule(op isa.Opcode) Rule {
+	r := table1[op]
+	switch {
+	case r == RuleAnd && p.DisableAndUntaint,
+		r == RuleXor && p.DisableXorIdiom:
+		return RuleOr
+	case (r == RuleShiftLeft || r == RuleShiftRight) && p.DisableShiftSmear:
+		return RuleShift
+	case r == RuleCompare && p.DisableCompareUntaint:
+		return RuleConst
+	}
+	return r
+}
+
 // Propagate computes the Table 1 taint outcome for op applied to a and b.
 // For single-operand forms (LUI, immediate shifts) pass the unused operand
-// as an immediate Operand with zero taint.
+// as an immediate Operand with zero taint. For shifts a is the datum and
+// b the amount.
 func (p *Propagator) Propagate(op isa.Opcode, a, b Operand) Result {
+	return p.Apply(p.Rule(op), a, b)
+}
+
+// Apply computes the taint outcome of rule r (from Rule) on a and b.
+func (p *Propagator) Apply(r Rule, a, b Operand) Result {
 	var res Result
-	switch op.Kind() {
-	case isa.KindShift:
-		// b is the shift amount (register or immediate); a is the datum.
+	switch r {
+	case RuleOr:
+		res.Out = a.Taint.Or(b.Taint)
+	case RuleAnd:
+		res.Out = AndMerge(a.Value, a.Taint, b.Value, b.Taint)
+	case RuleXor:
+		if a.IsImm || b.IsImm || a.Reg != b.Reg {
+			res.Out = a.Taint.Or(b.Taint)
+		}
+	case RuleShiftLeft, RuleShiftRight, RuleShift:
 		out := a.Taint
-		if !p.DisableShiftSmear {
-			out = out.Smear(DirectionOf(op))
+		switch r {
+		case RuleShiftLeft:
+			out = out.Smear(ShiftLeft)
+		case RuleShiftRight:
+			out = out.Smear(ShiftRight)
 		}
 		// A tainted variable shift amount taints the whole result: the
 		// attacker chooses how far data moves.
 		if b.Taint.Any() {
 			out = Word
 		}
-		res.Out = out
-	case isa.KindCompare:
+		res.Out = out & mask
+	case RuleCompare:
 		// SLT-family: the 0/1 result is untainted, and per Table 1 the
 		// operands are untainted in the register file ("any data that
 		// undergoes validation is trusted").
-		res.Out = None
-		if !p.DisableCompareUntaint {
-			res.UntaintA = !a.IsImm
-			res.UntaintB = !b.IsImm
-		}
-	default:
-		switch op {
-		case isa.OpAND, isa.OpANDI:
-			if p.DisableAndUntaint {
-				res.Out = a.Taint.Or(b.Taint)
-			} else {
-				res.Out = AndMerge(a.Value, a.Taint, b.Value, b.Taint)
-			}
-		case isa.OpXOR:
-			if !p.DisableXorIdiom && !a.IsImm && !b.IsImm && a.Reg == b.Reg {
-				// XOR r1,r2,r2 assigns constant 0: clear taint.
-				res.Out = None
-				break
-			}
-			res.Out = a.Taint.Or(b.Taint)
-		default:
-			res.Out = a.Taint.Or(b.Taint)
-		}
+		res.UntaintA = !a.IsImm
+		res.UntaintB = !b.IsImm
 	}
 	if p.WordGranularity && res.Out.Any() {
 		res.Out = Word

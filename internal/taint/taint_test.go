@@ -326,3 +326,97 @@ func TestParsePolicy(t *testing.T) {
 		t.Error("bogus policy parsed")
 	}
 }
+
+// table1Spec is Table 1 written out the long way, by instruction kind,
+// as the paper states it: the oracle TestTable1Exhaustive holds the
+// table-driven Propagate to.
+func table1Spec(p Propagator, op isa.Opcode, a, b Operand) Result {
+	var res Result
+	switch op.Kind() {
+	case isa.KindShift:
+		out := a.Taint
+		if !p.DisableShiftSmear {
+			switch op {
+			case isa.OpSLL, isa.OpSLLV:
+				out = (out | out<<1) & 0xF
+			default:
+				out = (out | out>>1) & 0xF
+			}
+		}
+		if b.Taint != None {
+			out = Word
+		}
+		res.Out = out
+	case isa.KindCompare:
+		if !p.DisableCompareUntaint {
+			res.UntaintA, res.UntaintB = !a.IsImm, !b.IsImm
+		}
+	default:
+		res.Out = a.Taint | b.Taint
+		switch {
+		case (op == isa.OpAND || op == isa.OpANDI) && !p.DisableAndUntaint:
+			for i := 0; i < 4; i++ {
+				if (byte(a.Value>>(8*i)) == 0 && !a.Taint.Byte(i)) || (byte(b.Value>>(8*i)) == 0 && !b.Taint.Byte(i)) {
+					res.Out &^= 1 << i
+				}
+			}
+		case op == isa.OpXOR && !p.DisableXorIdiom && !a.IsImm && !b.IsImm && a.Reg == b.Reg:
+			res.Out = None
+		}
+	}
+	if p.WordGranularity && res.Out != None {
+		res.Out = Word
+	}
+	return res
+}
+
+// TestTable1Exhaustive checks the table against the rules as stated, for
+// every ALU, shift and compare opcode, every pair of operand taint
+// vectors, register and immediate second operands (aliased or not), a
+// spread of operand values, and every combination of ablation switches.
+func TestTable1Exhaustive(t *testing.T) {
+	var ops []isa.Opcode
+	for op := isa.Opcode(0); int(op) <= isa.NumOpcodes; op++ {
+		switch op.Kind() {
+		case isa.KindALU, isa.KindCompare, isa.KindShift:
+			ops = append(ops, op)
+		}
+	}
+	if len(ops) < 25 {
+		t.Fatalf("only %d ALU, shift and compare opcodes", len(ops))
+	}
+	values := []uint32{0, 0xFF00FF00, 0x00FF00FF, 0x61616161}
+	checked := 0
+	for sw := 0; sw < 1<<5; sw++ {
+		p := Propagator{
+			DisableCompareUntaint: sw&1 != 0,
+			DisableAndUntaint:     sw&2 != 0,
+			DisableXorIdiom:       sw&4 != 0,
+			DisableShiftSmear:     sw&8 != 0,
+			WordGranularity:       sw&16 != 0,
+		}
+		for _, op := range ops {
+			for ta := None; ta <= Word; ta++ {
+				for tb := None; tb <= Word; tb++ {
+					for _, av := range values {
+						for _, bv := range values {
+							a := Operand{Value: av, Taint: ta, Reg: 8}
+							for _, b := range []Operand{
+								{Value: bv, Taint: tb, Reg: 9},
+								{Value: bv, Taint: tb, Reg: 8},
+								{Value: bv, Reg: NoRegister, IsImm: true},
+							} {
+								got, want := p.Propagate(op, a, b), table1Spec(p, op, a, b)
+								if got != want {
+									t.Fatalf("%+v %v a=%+v b=%+v: got %+v, want %+v", p, op, a, b, got, want)
+								}
+								checked++
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	t.Logf("%d cases", checked)
+}
