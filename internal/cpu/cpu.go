@@ -124,7 +124,8 @@ type CPU struct {
 	// this machine enters at the block of ordinal o (sbUnfusable marks
 	// failed builds and retired traces), sbHeat counts block-path
 	// dispatches toward sbHotThreshold, sbBad counts the entries that
-	// retired nothing or failed the guard, and sbOff disables the tier.
+	// retired nothing or met a budget too short for one iteration, and
+	// sbOff disables the tier.
 	// The traces are immutable and, on a shared table, published in it for
 	// the whole family; the three slices are this machine's own, and a
 	// fork starts them empty. sbShared holds while every trace in sblocks
@@ -135,15 +136,13 @@ type CPU struct {
 	sbBad    []uint8
 	sbOff    bool
 	sbShared bool
-	// sbInval remembers why compiled state was last invalidated so a
-	// later !live() discovery at dispatch can attribute the deopt to a
-	// reason (stats.go). Zero value = self-modify, the only cause that
-	// can fire without going through a tagged entry point.
-	sbInval uint8
 
 	// homeAudit, when non-nil (tests only), checks every compare-untaint
 	// write-through against its home: see untaintWithHome.
 	homeAudit *homeAudit
+	// sbArms, when non-nil (tests only), counts the arms runSuperblock's
+	// taint tests take (sbArm).
+	sbArms *[numSbArms]uint64
 
 	// injectFn, when non-nil, is a one-shot fault-injection callback armed
 	// by InjectAt (guard.go) to fire at the first instruction boundary
@@ -215,7 +214,6 @@ func (c *CPU) invalidateText(addr uint32, width int) {
 	if c.text == nil || addr >= c.textEnd || addr+uint32(width) <= c.textBase {
 		return
 	}
-	c.sbInval = sbInvalSelfModify
 	c.ownText()
 	lastIdx := ^uint32(0)
 	for i := 0; i < width; i++ {
@@ -341,7 +339,6 @@ func (c *CPU) AddProbe(pc uint32, fn func(*CPU)) {
 		c.probes = make(map[uint32][]func(*CPU))
 	}
 	c.probes[pc] = append(c.probes[pc], fn)
-	c.sbInval = sbInvalProbe
 	// A probed pc must be a block entry so StepBlock runs its probes;
 	// rebuilt blocks will stop short of it.
 	c.flushBlocks()

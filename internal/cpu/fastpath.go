@@ -572,24 +572,18 @@ chain:
 			} else if sb != sbUnfusable {
 				switch {
 				case !c.sbShared && !sb.live(c):
-					// A constituent block was rebuilt or invalidated
-					// (self-modifying store, probe flush);
-					// recompile only after the entry re-heats. Counted as
-					// a deopt under the cause that killed the trace. Only
-					// a machine holding traces from a table it has since
-					// changed can get here: a shared table's slots never
-					// change.
+					// A constituent block was rebuilt or invalidated by a
+					// text store; recompile only after the entry re-heats.
+					// Counted as a deopt. Only a machine holding traces
+					// from a table it has since changed can get here: a
+					// shared table's slots never change. (A probe flush
+					// kills traces too, but a machine with probes never
+					// dispatches a trace again.)
 					c.stats.SuperblockDeopts++
-					switch c.sbInval {
-					case sbInvalProbe:
-						c.stats.SbDeoptProbe++
-					default:
-						c.stats.SbDeoptSelfModify++
-					}
+					c.stats.SbDeoptSelfModify++
 					c.sblocks[o] = nil
 					c.sbHeat[o] = 0
-				case (max == 0 || max-(c.stats.Instructions+done) >= uint64(len(sb.ops))) &&
-					c.sbEntryClean(sb):
+				case max == 0 || max-(c.stats.Instructions+done) >= uint64(len(sb.ops)):
 					c.pc = pc
 					c.flushRetired(done, cleanN)
 					c.flushPipe(cyc, stalls, prevDst)
@@ -608,13 +602,8 @@ chain:
 					}
 					continue chain
 				default:
-					// Entry guard failed (tainted live-in register) or
-					// the budget cannot fit one iteration. Only the former
-					// is a specialization failure worth a deopt reason.
-					if max == 0 || max-(c.stats.Instructions+done) >= uint64(len(sb.ops)) {
-						c.stats.SuperblockDeopts++
-						c.stats.SbDeoptTaintedEntry++
-					}
+					// The budget cannot fit one iteration: a bad entry,
+					// but no specialization failure.
 					if c.sbBad[o]++; c.sbBad[o] > sbMaxBadEntries {
 						c.sblocks[o] = sbUnfusable
 					}

@@ -76,18 +76,20 @@ type family struct {
 // newFamily boots familyProg, runs it to familySnapAt, and snapshots it
 // the way attack.Machine.Snapshot does: a frozen CPU over frozen memory
 // that only forks.
-func newFamily(t *testing.T) *family { return bootFamily(t, familyProg, familySnapAt) }
+func newFamily(t *testing.T) *family {
+	return bootFamily(t, familyProg, familySnapAt, taint.PolicyPointerTaintedness)
+}
 
-// bootFamily boots src, runs it to at retired instructions, and snapshots
-// it as newFamily does.
-func bootFamily(t *testing.T, src string, at uint64) *family {
+// bootFamily boots src under policy, runs it to at retired instructions,
+// and snapshots it as newFamily does.
+func bootFamily(t *testing.T, src string, at uint64, policy taint.Policy) *family {
 	t.Helper()
 	im, err := asm.AssembleString(src)
 	if err != nil {
 		t.Fatalf("assemble: %v", err)
 	}
 	m := mem.New()
-	c := New(Config{Bus: m, Policy: taint.PolicyPointerTaintedness, Handler: &testHandler{memory: m}, Image: im})
+	c := New(Config{Bus: m, Policy: policy, Handler: &testHandler{memory: m}, Image: im})
 	c.LoadImage(m, im)
 	if err := c.RunFast(at); err == nil {
 		t.Fatal("origin halted before the snapshot point")

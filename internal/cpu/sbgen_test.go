@@ -12,8 +12,9 @@
 // and block-only and full must agree on CleanSkips and TaintedSteps.
 //
 // testdata/sbgen-corpus.txt holds the seeds go test replays. The corpus
-// must drive every superblock deopt reason; TestSuperblockGenCorpus
-// fails when it stops doing so.
+// must drive every superblock deopt reason and both arms of each taint
+// test in runSuperblock; TestSuperblockGenCorpus fails when it stops
+// doing so.
 package cpu
 
 import (
@@ -67,6 +68,7 @@ type genProg struct {
 	watch  bool   // a taint watch over buf[128:192)
 	events bool   // provenance and an event sink attached
 	input  []byte // the byte stream the read syscall delivers
+	prop   taint.Propagator
 }
 
 // gen writes one program's text.
@@ -328,6 +330,17 @@ func genProgram(seed uint64) genProg {
 	fmt.Fprintf(&g.b, "spare:\n")
 	g.emit("nop")
 	p.src = g.b.String()
+	// Now and then a Table 1 ablation, so traces apply every rule variant.
+	if r.IntN(4) == 0 {
+		p.prop = taint.Propagator{
+			DisableCompareUntaint: r.IntN(3) == 0,
+			DisableAndUntaint:     r.IntN(3) == 0,
+			DisableXorIdiom:       r.IntN(3) == 0,
+			DisableShiftSmear:     r.IntN(3) == 0,
+			WordGranularity:       r.IntN(3) == 0,
+			EnableBranchUntaint:   r.IntN(2) == 0,
+		}
+	}
 	return p
 }
 
@@ -394,6 +407,8 @@ type genResult struct {
 	// invariant; stale is its first violation.
 	audited uint64
 	stale   error
+	// arms counts the runSuperblock taint-test arms taken (sbArm).
+	arms *[numSbArms]uint64
 }
 
 // run boots p on engine e and runs it to completion or the budget.
@@ -404,7 +419,7 @@ func (p *genProg) run(t testing.TB, e genEngine) genResult {
 		t.Fatalf("seed %d: assemble: %v\n%s", p.seed, err, p.src)
 	}
 	m := mem.New()
-	c := New(Config{Bus: m, Policy: p.policy, Handler: &genHandler{m: m, input: p.input}, Image: im})
+	c := New(Config{Bus: m, Policy: p.policy, Prop: p.prop, Handler: &genHandler{m: m, input: p.input}, Image: im})
 	c.LoadImage(m, im)
 	for _, r := range p.regs {
 		c.SetReg(r.r, r.v, r.t)
@@ -421,6 +436,8 @@ func (p *genProg) run(t testing.TB, e genEngine) genResult {
 	cov := new(CovMap)
 	c.SetCovMap(cov)
 	audit := AuditHomes(c)
+	res := genResult{arms: new([numSbArms]uint64)}
+	c.sbArms = res.arms
 	var runErr error
 	switch e {
 	case genReference:
@@ -431,15 +448,13 @@ func (p *genProg) run(t testing.TB, e genEngine) genResult {
 	default:
 		runErr = c.RunFast(sbgenBudget)
 	}
-	res := genResult{
-		err:   fmt.Sprint(runErr),
-		pc:    c.PC(),
-		stats: c.Stats(),
-		pipe:  c.Pipe(),
-		mem:   m.Fingerprint(),
-		cov:   cov,
-		regs:  c.regs,
-	}
+	res.err = fmt.Sprint(runErr)
+	res.pc = c.PC()
+	res.stats = c.Stats()
+	res.pipe = c.Pipe()
+	res.mem = m.Fingerprint()
+	res.cov = cov
+	res.regs = c.regs
 	res.halted, _ = c.Halted()
 	res.audited, res.stale = audit()
 	res.taints = c.regTaint
@@ -561,16 +576,21 @@ func readGenCorpus(t testing.TB) []uint64 {
 
 // TestSuperblockGenCorpus replays the checked-in seeds on all three
 // engines, then fails loudly unless the corpus as a whole reached the
-// superblock tier and drove every deopt reason.
+// superblock tier, drove every deopt reason, and took both arms of every
+// taint test in runSuperblock.
 func TestSuperblockGenCorpus(t *testing.T) {
 	seeds := readGenCorpus(t)
 	var total Stats
 	var audited uint64
+	var arms [numSbArms]uint64
 	hits := make([]uint64, len(total.DeoptReasons()))
 	for _, s := range seeds {
 		full := genCheck(t, s)
 		st := full.stats
 		audited += full.audited
+		for i, n := range full.arms {
+			arms[i] += n
+		}
 		total.SuperblockInstrs += st.SuperblockInstrs
 		total.Instructions += st.Instructions
 		for i, d := range st.DeoptReasons() {
@@ -585,6 +605,14 @@ func TestSuperblockGenCorpus(t *testing.T) {
 	if total.SuperblockInstrs*4 < total.Instructions {
 		t.Errorf("superblocks retired %d of %d instructions; the corpus no longer reaches the tier",
 			total.SuperblockInstrs, total.Instructions)
+	}
+	armNames := [...]string{"alu", "compare", "load-address", "load-value", "store-address", "store-value", "branch"}
+	for i, n := range arms {
+		arm := fmt.Sprintf("%s/%s", armNames[i/2], [...]string{"clean", "tainted"}[i%2])
+		t.Logf("arm %-22s %d", arm, n)
+		if n == 0 {
+			t.Errorf("the corpus never takes the %s arm of runSuperblock's taint tests", arm)
+		}
 	}
 	for i, d := range total.DeoptReasons() {
 		t.Logf("deopt %-14s %d", d.Reason, hits[i])

@@ -65,10 +65,9 @@ type Stats struct {
 	// Superblock-tier counters (superblock.go). SuperblockRuns counts
 	// entries into a compiled trace, SuperblockInstrs the instructions
 	// retired inside one (a subset of Instructions), SuperblockDeopts
-	// every specialization failure: mid-trace exits forced by a violated
-	// assumption (tainted loaded value, dirty compare/branch home, store
-	// range guard, address fault), entry guards rejecting a tainted
-	// live-in register, and compiled traces found dead at dispatch after
+	// every exit before an op the block path must execute instead (a
+	// checked dereference, a host-visible hook, a store range guard, an
+	// address fault) and every compiled trace found dead at dispatch after
 	// an invalidation — as opposed to ordinary side exits on the
 	// unexpected branch direction or the budget boundary.
 	SuperblockRuns   uint64
@@ -76,20 +75,20 @@ type Stats struct {
 	SuperblockDeopts uint64
 
 	// Per-reason deopt breakdown. Always sums to SuperblockDeopts:
-	//   TaintedEntry — entry guard saw taint in a live-in register;
-	//   LoadedTaint  — a load pulled a tainted word mid-trace (the trace
-	//                  retires the load, then side-exits to track it);
-	//   Probe        — a compare/branch memory-home probe found a dirty
-	//                  home, or a probe registration invalidated the trace;
-	//   SelfModify   — a store's range guard found its address inside
-	//                  text, or a text-page invalidation dropped the trace;
-	//   MemFault     — misaligned/null load or store address caught by
-	//                  the trace's address guard before the access.
-	SbDeoptTaintedEntry uint64
-	SbDeoptLoadedTaint  uint64
-	SbDeoptProbe        uint64
-	SbDeoptSelfModify   uint64
-	SbDeoptMemFault     uint64
+	//   TaintedAddr — a load or store address register is tainted: the
+	//                 checked dereference, where the block path consults
+	//                 the detector;
+	//   Hook        — a tainted store value while taint watches are
+	//                 registered, or tainted-operand work while an event
+	//                 sink and provenance are both attached;
+	//   SelfModify  — a store's range guard found its address inside
+	//                 text, or a text invalidation dropped the trace;
+	//   MemFault    — misaligned/null load or store address caught by
+	//                 the trace's address guard before the access.
+	SbDeoptTaintedAddr uint64
+	SbDeoptHook        uint64
+	SbDeoptSelfModify  uint64
+	SbDeoptMemFault    uint64
 }
 
 // DeoptReason is one row of the superblock deopt breakdown.
@@ -104,9 +103,8 @@ type DeoptReason struct {
 // stable shape.
 func (s Stats) DeoptReasons() []DeoptReason {
 	return []DeoptReason{
-		{"tainted-entry", s.SbDeoptTaintedEntry},
-		{"loaded-taint", s.SbDeoptLoadedTaint},
-		{"probe", s.SbDeoptProbe},
+		{"tainted-address", s.SbDeoptTaintedAddr},
+		{"hook", s.SbDeoptHook},
 		{"self-modify", s.SbDeoptSelfModify},
 		{"mem-fault", s.SbDeoptMemFault},
 	}

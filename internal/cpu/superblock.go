@@ -1,56 +1,50 @@
 package cpu
 
 import (
-	"math/bits"
-
 	"repro/internal/isa"
 	"repro/internal/taint"
 )
 
 // Superblock compilation: a trace tier above the basic-block fast path.
 //
-// A superblock fuses a hot cyclic trace of statically-clean basic blocks
-// into one straight-line specialized form with no per-instruction
-// dispatch through the decIns kind switch. The taint checks that
-// StepBlock performs per instruction are hoisted into a single entry
-// guard (every register the trace reads before writing must be
-// untainted), which a structural invariant then carries through the
-// whole trace: every in-trace write deposits taint.None, and a load
-// that observes a tainted value side-exits immediately after retiring,
-// so no instruction inside a superblock ever sees a tainted operand.
-// Stats, pipeline, and clean-skip accounting collapse to per-iteration
-// constants materialized once at exit; the only per-execution dynamic
-// costs are the handful of guards that StepBlock also pays on its clean
-// path (compare/branch home probes, store range checks) plus coverage
-// hits when a map is attached.
+// A superblock fuses a hot cyclic trace of basic blocks into one
+// straight-line specialized form with no per-instruction dispatch
+// through the decIns kind switch. It carries taint the way the paper's
+// datapath does (§4, §5.4): beside the values, not in their way. Every
+// in-trace write deposits the taint Table 1 gives it — the rule of each
+// op is read from the propagator at compile time — so a trace loads,
+// computes on, compares and stores tainted values without leaving, and
+// a compare on a tainted operand writes its untaint through to the
+// operand's memory home inline (untaintWithHome), as the block path does.
+// A clean-operand test per op keeps the common case as cheap as before.
 //
-// Every assumption has a deopt: a violated guard exits before the
-// offending instruction with the machine state byte-identical to what
-// the block path would have at that pc, and the block path re-executes
-// the instruction with its full check set. Probes, profiling, cache
-// buses, and the reference interpreter never see superblocks at all.
+// A trace leaves only where the block path does something it cannot:
+// the checked dereference (a load or store whose address register is
+// tainted, where the block path consults the detector), a tainted store
+// value while taint watches are registered, tainted-operand work while
+// both an event sink and provenance are attached (the block path syncs
+// its lazy state for that hook), and the store-to-text, null-page and
+// misalignment guards. Each such exit leaves before the op with the
+// machine state byte-identical to what the block path would have at that
+// pc, and the block path re-executes the op with its full check set.
+// Stats, pipeline, and clean-skip accounting collapse to per-iteration
+// constants materialized once at exit, less a count of the ops whose
+// operands turned out tainted. Probes, profiling, cache buses, and the
+// reference interpreter never see superblocks at all.
 const (
 	// sbHotThreshold is the number of block-path dispatches of one entry
 	// pc before a superblock is attempted there.
 	sbHotThreshold = 64
 	// sbMaxOps bounds one trace, in instructions.
 	sbMaxOps = 256
-	// sbMinOps rejects degenerate traces not worth the entry guard.
+	// sbMinOps rejects degenerate traces not worth a dispatch.
 	sbMinOps = 2
 	// sbMaxBadEntries retires a superblock, for one machine, whose entry
-	// guard keeps failing or whose first instruction keeps deoptimizing
-	// there, so a loop that is structurally fusable but dynamically tainted
-	// stops paying the guard on every dispatch.
+	// keeps retiring nothing (its first op keeps exiting, say on a tainted
+	// address) or keeps meeting a budget too short for one iteration, so a
+	// loop that is structurally fusable but dynamically unfit stops paying
+	// for the attempt on every dispatch.
 	sbMaxBadEntries = 64
-)
-
-// Last-invalidation tags for CPU.sbInval: when dispatch finds a compiled
-// trace no longer live, the tag says which event killed it so the deopt
-// lands in the right Stats reason bucket. Self-modify is the zero value —
-// text stores and plain block rebuilds are the untagged default cause.
-const (
-	sbInvalSelfModify = iota
-	sbInvalProbe
 )
 
 // sbOp flags.
@@ -61,6 +55,10 @@ const (
 	// sbfLoop: this control op closes the trace back to its entry pc —
 	// the iteration boundary.
 	sbfLoop
+	// sbfImmB: the second operand is the immediate imm, not register b
+	// (Table 1 treats an immediate as untainted and never the same
+	// register as the first operand).
+	sbfImmB
 )
 
 // sbOp is one specialized instruction of a superblock. code, registers and
@@ -69,21 +67,25 @@ type sbOp struct {
 	code  uint8 // dense op code (denseOps)
 	flags uint8
 	dst   uint8
-	a     uint8  // first operand register (addr base for memory ops)
-	b     uint8  // second operand register (store value, branch Rt)
-	exit  uint16 // pre-op deopt exit record
-	exitT uint16 // post-op side exit record (tainted load, branch other way)
+	a     uint8      // first operand register (addr base for memory ops, shift datum)
+	b     uint8      // second operand register (store value, branch Rt, shift amount)
+	rule  taint.Rule // the op's Table 1 rule under the machine's propagator
+	exit  uint16     // pre-op exit record
+	exitT uint16     // branch side exit record (the other direction)
 	imm   uint32
 	pc    uint32
 	tgt   uint32 // branch/jump taken target
-	homes uint32 // registers whose memory homes must probe clean
+	homes uint32 // compare/branch: the operand registers whose homes it may write through
 }
 
 // sbExit is one precomputed exit point: the partial stats/pipeline
 // contribution of the current iteration up to (pre-op exits) or through
-// (post-op exits) the exiting instruction, plus the resume pc and the
+// (branch side exits) the exiting instruction, plus the resume pc and the
 // load-use hazard state at that boundary. exits[0] is always the
 // iteration boundary itself (zero partials, resume at the entry pc).
+// clean counts the retired ops the block path would count as clean skips
+// when their operands are clean; runSuperblock subtracts those it found
+// tainted.
 type sbExit struct {
 	done, clean             uint64
 	loads, stores, branches uint64
@@ -117,7 +119,6 @@ type superblock struct {
 	exits       []sbExit
 	iter        sbExit // whole-iteration constants (pc/loadDst unused)
 	parts       []sbPart
-	liveIn      []isa.Register // read-before-write set for the entry guard
 	entryPC     uint32
 	hz0a, hz0b  uint8 // first op's hazard sources (entry-edge stall check)
 	branchGuard bool  // prop.BranchUntaint() at build time
@@ -207,29 +208,6 @@ func (sb *superblock) live(c *CPU) bool {
 	return true
 }
 
-// sbEntryClean is the hoisted taint check: every register the trace
-// reads before writing must be untainted.
-func (c *CPU) sbEntryClean(sb *superblock) bool {
-	var t taint.Vec
-	for _, r := range sb.liveIn {
-		t |= c.regTaint[r]
-	}
-	return t == taint.None
-}
-
-// sbHomesDirty reports whether any live register home in mask has a
-// tainted byte — the condition under which a compare/branch untaint
-// write-through would be observable and the superblock must deopt.
-func (c *CPU) sbHomesDirty(mask uint32) bool {
-	for m := mask & c.homesMask; m != 0; m &= m - 1 {
-		h := &c.regHomes[bits.TrailingZeros32(m)]
-		if c.flatMem.SpanTainted(h.addr, int(h.width)) {
-			return true
-		}
-	}
-	return false
-}
-
 // buildSuperblock compiles the trace entered at block index idx. When the
 // walk cannot be fused it returns a superblock holding only the walk's
 // parts (ops nil). The trace follows fall-through edges, expected
@@ -248,31 +226,18 @@ func (c *CPU) buildSuperblock(idx uint32) *superblock {
 	}
 	// unfusable keeps only the walk, for machines reusing this result.
 	unfusable := func() *superblock {
-		sb.ops, sb.exits, sb.liveIn = nil, nil, nil
+		sb.ops, sb.exits = nil, nil
 		return sb
 	}
 	sb.exits = append(sb.exits, sbExit{pc: entryPC, loadDst: isa.RegZero})
 	var (
-		run         sbExit // pre-op running totals at the current position
-		writtenMask uint32
-		liveMask    uint32
-		lastLoad    = isa.RegZero
-		closed      bool
+		run      sbExit // pre-op running totals at the current position
+		lastLoad = isa.RegZero
+		closed   bool
 	)
 	addExit := func(e sbExit) uint16 {
 		sb.exits = append(sb.exits, e)
 		return uint16(len(sb.exits) - 1)
-	}
-	read := func(r isa.Register) {
-		if r != isa.RegZero && writtenMask&(1<<r) == 0 && liveMask&(1<<r) == 0 {
-			liveMask |= 1 << r
-			sb.liveIn = append(sb.liveIn, r)
-		}
-	}
-	wrote := func(r isa.Register) {
-		if r != isa.RegZero {
-			writtenMask |= 1 << r
-		}
 	}
 	cur := idx
 	for !closed {
@@ -323,51 +288,33 @@ func (c *CPU) buildSuperblock(idx uint32) *superblock {
 					sb.hz0a, sb.hz0b = uint8(d.srcA), uint8(d.srcB)
 				}
 			}
-			op := sbOp{code: d.fop, pc: pc, dst: uint8(d.dst), a: uint8(d.srcA), b: uint8(d.srcB), imm: d.imm}
+			op := sbOp{code: d.fop, pc: pc, dst: uint8(d.dst), a: uint8(d.srcA), b: uint8(d.srcB),
+				imm: d.imm, rule: c.prop.Rule(d.in.Op)}
+			if sbImmB[d.fop] {
+				op.flags |= sbfImmB
+			}
 			pre := run
 			pre.pc = pc
 			pre.loadDst = lastLoad
 			switch d.kind {
-			case isa.KindALU, isa.KindShift:
-				read(d.srcA)
-				read(d.srcB)
-				run.done++
-				run.clean++
-				run.cyc += 1 + hz
-				run.stalls += hz
-				wrote(d.dst)
-				lastLoad = isa.RegZero
-			case isa.KindCompare:
-				read(d.srcA)
-				read(d.srcB)
-				op.homes = (uint32(1)<<d.srcA | uint32(1)<<d.srcB) &^ 1
+			case isa.KindALU, isa.KindShift, isa.KindCompare:
+				if d.kind == isa.KindCompare {
+					op.homes = (uint32(1)<<d.srcA | uint32(1)<<d.srcB) &^ 1
+				}
 				op.exit = addExit(pre)
 				run.done++
 				run.clean++
 				run.cyc += 1 + hz
 				run.stalls += hz
-				wrote(d.dst)
 				lastLoad = isa.RegZero
 			case isa.KindLoad:
-				read(d.srcA)
 				op.exit = addExit(pre)
-				post := pre
-				post.done++
-				post.loads++
-				post.cyc += 1 + hz
-				post.stalls += hz
-				post.loadDst = d.dst
-				post.pc = pc + 4
-				op.exitT = addExit(post)
 				run.done++
 				run.loads++
 				run.cyc += 1 + hz
 				run.stalls += hz
-				wrote(d.dst)
 				lastLoad = d.dst
 			case isa.KindStore:
-				read(d.srcA)
-				read(d.srcB)
 				op.exit = addExit(pre)
 				run.done++
 				run.stores++
@@ -376,10 +323,7 @@ func (c *CPU) buildSuperblock(idx uint32) *superblock {
 				lastLoad = isa.RegZero
 			case isa.KindBranch:
 				if sb.branchGuard {
-					read(d.srcA)
-					read(d.srcB)
 					op.homes = (uint32(1)<<d.srcA | uint32(1)<<d.srcB) &^ 1
-					op.exit = addExit(pre)
 				}
 				tgt := isa.BranchTarget(pc, d.in)
 				op.tgt = tgt
@@ -453,18 +397,25 @@ func (c *CPU) buildSuperblock(idx uint32) *superblock {
 	return sb
 }
 
+// sbImmB marks the dense codes whose second operand is the immediate (the
+// operand routing of execALU and execShift).
+var sbImmB = [numSbOps]bool{sbLUI: true, sbADDri: true, sbANDri: true, sbORri: true, sbXORri: true,
+	sbSLLri: true, sbSRLri: true, sbSRAri: true, sbSLTri: true, sbSLTUri: true}
+
 // sbFinish materializes iters complete iterations plus the partial exit
 // record e into the machine's stats and pipeline, and returns the
-// resume pc. The second result reports whether any instruction retired:
-// when false the machine state is untouched (the caller must then make
-// progress on the block path before re-entering this superblock).
-func (c *CPU) sbFinish(sb *superblock, iters uint64, e *sbExit, entryExtra uint64) (uint32, bool) {
+// resume pc. tainted counts the retired ops whose operands were not
+// clean, which the block path would have counted as tainted steps. The
+// second result reports whether any instruction retired: when false the
+// machine state is untouched (the caller must then make progress on the
+// block path before re-entering this superblock).
+func (c *CPU) sbFinish(sb *superblock, iters uint64, e *sbExit, tainted, entryExtra uint64) (uint32, bool) {
 	it := &sb.iter
 	done := iters*it.done + e.done
 	if done == 0 {
 		return e.pc, false
 	}
-	clean := iters*it.clean + e.clean
+	clean := iters*it.clean + e.clean - tainted
 	c.stats.Instructions += done
 	c.stats.CleanSkips += clean
 	c.stats.TaintedSteps += done - clean
@@ -492,12 +443,71 @@ func (c *CPU) sbStoreDeopt(addr, w uint32) {
 	}
 }
 
+// sbExitBefore leaves the trace before op, which the block path then
+// re-executes, and books the deopt under reason.
+func (c *CPU) sbExitBefore(sb *superblock, op *sbOp, iters, tainted, entryExtra uint64, reason *uint64) (uint32, bool) {
+	c.stats.SuperblockDeopts++
+	*reason++
+	return c.sbFinish(sb, iters, &sb.exits[op.exit], tainted, entryExtra)
+}
+
+// sbPropagate is execALU and execShift for a trace op whose operands are
+// not clean (or, for a compare, whose homes are not): Table 1's rule
+// applied beside the value v the trace computed, with the same untaint
+// write-through and provenance hook. instrs is the exact retired count
+// before the op.
+func (c *CPU) sbPropagate(op *sbOp, v uint32, instrs uint64) {
+	a := c.operand(isa.Register(op.a))
+	b := c.operand(isa.Register(op.b))
+	if op.flags&sbfImmB != 0 {
+		b = immOperand(op.imm)
+	}
+	res := c.prop.Apply(op.rule, a, b)
+	if res.UntaintA {
+		c.untaintWithHome(a.Reg)
+	}
+	if res.UntaintB {
+		c.untaintWithHome(b.Reg)
+	}
+	dst := isa.Register(op.dst)
+	c.SetReg(dst, v, res.Out)
+	if c.prov != nil {
+		c.provProp(dst, res.Out, a, b, op.pc, instrs)
+	}
+}
+
+// The arms of runSuperblock's taint tests, which the generated
+// differential must all reach (sbgen_test.go): for each test, its clean
+// arm and then its tainted one.
+const (
+	armALU        = 2 * iota // ALU and shift operands
+	armCompare               // compare operands and homes
+	armLoadAddr              // load address register
+	armLoadValue             // loaded value (the provenance hook's test)
+	armStoreAddr             // store address register
+	armStoreValue            // stored value
+	armBranch                // branch operands and homes (branch-untaint ablation)
+	numSbArms
+)
+
+// sbArm counts arm arm (plus 1 when tainted) of a taint test, when a test
+// armed the count.
+func (c *CPU) sbArm(arm int, tainted bool) {
+	if c.sbArms != nil {
+		if tainted {
+			arm++
+		}
+		c.sbArms[arm]++
+	}
+}
+
 // runSuperblock executes the trace until a side exit, a deopt, or the
 // instruction budget boundary. The caller has already flushed its
-// batched locals (stats and pipe are exact), verified the entry guard,
-// and checked that at least one full iteration fits the budget.
+// batched locals (stats and pipe are exact) and checked that at least
+// one full iteration fits the budget.
 func (c *CPU) runSuperblock(sb *superblock, max uint64) (uint32, bool) {
 	ops := sb.ops
+	n := uint64(len(ops))
 	// The entry-edge load-use hazard: charged once if the first op ever
 	// retires, mirroring StepBlock's dynamic prevDst at chain entry.
 	var entryExtra uint64
@@ -506,42 +516,47 @@ func (c *CPU) runSuperblock(sb *superblock, max uint64) (uint32, bool) {
 	}
 	iterBudget := ^uint64(0)
 	if max > 0 {
-		iterBudget = (max - c.stats.Instructions) / uint64(len(ops))
+		iterBudget = (max - c.stats.Instructions) / n
 	}
 	m := c.flatMem
-	var iters uint64
+	// hooked: tainted-operand ALU work must leave for the block path,
+	// which syncs its lazy state before the provenance hook emits events.
+	hooked := c.events != nil && c.prov != nil
+	var iters, tainted uint64
 	i := 0
 	for {
 		op := &ops[i]
+		var v uint32
 		switch op.code {
 		case sbNOP:
+			i++
+			continue
 		case sbLUI:
-			c.SetReg(isa.Register(op.dst), op.imm, taint.None)
+			v = op.imm
 		case sbADDrr:
-			c.SetReg(isa.Register(op.dst), c.regs[op.a]+c.regs[op.b], taint.None)
+			v = c.regs[op.a] + c.regs[op.b]
 		case sbADDri:
-			c.SetReg(isa.Register(op.dst), c.regs[op.a]+op.imm, taint.None)
+			v = c.regs[op.a] + op.imm
 		case sbSUBrr:
-			c.SetReg(isa.Register(op.dst), c.regs[op.a]-c.regs[op.b], taint.None)
+			v = c.regs[op.a] - c.regs[op.b]
 		case sbANDrr:
-			c.SetReg(isa.Register(op.dst), c.regs[op.a]&c.regs[op.b], taint.None)
+			v = c.regs[op.a] & c.regs[op.b]
 		case sbANDri:
-			c.SetReg(isa.Register(op.dst), c.regs[op.a]&op.imm, taint.None)
+			v = c.regs[op.a] & op.imm
 		case sbORrr:
-			c.SetReg(isa.Register(op.dst), c.regs[op.a]|c.regs[op.b], taint.None)
+			v = c.regs[op.a] | c.regs[op.b]
 		case sbORri:
-			c.SetReg(isa.Register(op.dst), c.regs[op.a]|op.imm, taint.None)
+			v = c.regs[op.a] | op.imm
 		case sbXORrr:
-			c.SetReg(isa.Register(op.dst), c.regs[op.a]^c.regs[op.b], taint.None)
+			v = c.regs[op.a] ^ c.regs[op.b]
 		case sbXORri:
-			c.SetReg(isa.Register(op.dst), c.regs[op.a]^op.imm, taint.None)
+			v = c.regs[op.a] ^ op.imm
 		case sbNORrr:
-			c.SetReg(isa.Register(op.dst), ^(c.regs[op.a] | c.regs[op.b]), taint.None)
+			v = ^(c.regs[op.a] | c.regs[op.b])
 		case sbMULrr:
-			c.SetReg(isa.Register(op.dst), uint32(int32(c.regs[op.a])*int32(c.regs[op.b])), taint.None)
+			v = uint32(int32(c.regs[op.a]) * int32(c.regs[op.b]))
 		case sbDIVrr:
 			a, b := c.regs[op.a], c.regs[op.b]
-			var v uint32
 			switch {
 			case b == 0:
 				v = 0
@@ -550,48 +565,32 @@ func (c *CPU) runSuperblock(sb *superblock, max uint64) (uint32, bool) {
 			default:
 				v = uint32(int32(a) / int32(b))
 			}
-			c.SetReg(isa.Register(op.dst), v, taint.None)
 		case sbDIVUrr:
-			var v uint32
 			if b := c.regs[op.b]; b != 0 {
 				v = c.regs[op.a] / b
 			}
-			c.SetReg(isa.Register(op.dst), v, taint.None)
 		case sbREMrr:
 			a, b := c.regs[op.a], c.regs[op.b]
-			var v uint32
 			if b != 0 && !(int32(a) == -1<<31 && int32(b) == -1) {
 				v = uint32(int32(a) % int32(b))
 			}
-			c.SetReg(isa.Register(op.dst), v, taint.None)
 		case sbREMUrr:
-			var v uint32
 			if b := c.regs[op.b]; b != 0 {
 				v = c.regs[op.a] % b
 			}
-			c.SetReg(isa.Register(op.dst), v, taint.None)
 		case sbSLLri:
-			c.SetReg(isa.Register(op.dst), c.regs[op.a]<<(op.imm&31), taint.None)
+			v = c.regs[op.a] << (op.imm & 31)
 		case sbSLLrr:
-			c.SetReg(isa.Register(op.dst), c.regs[op.a]<<(c.regs[op.b]&31), taint.None)
+			v = c.regs[op.a] << (c.regs[op.b] & 31)
 		case sbSRLri:
-			c.SetReg(isa.Register(op.dst), c.regs[op.a]>>(op.imm&31), taint.None)
+			v = c.regs[op.a] >> (op.imm & 31)
 		case sbSRLrr:
-			c.SetReg(isa.Register(op.dst), c.regs[op.a]>>(c.regs[op.b]&31), taint.None)
+			v = c.regs[op.a] >> (c.regs[op.b] & 31)
 		case sbSRAri:
-			c.SetReg(isa.Register(op.dst), uint32(int32(c.regs[op.a])>>(op.imm&31)), taint.None)
+			v = uint32(int32(c.regs[op.a]) >> (op.imm & 31))
 		case sbSRArr:
-			c.SetReg(isa.Register(op.dst), uint32(int32(c.regs[op.a])>>(c.regs[op.b]&31)), taint.None)
+			v = uint32(int32(c.regs[op.a]) >> (c.regs[op.b] & 31))
 		case sbSLTrr, sbSLTri, sbSLTUrr, sbSLTUri:
-			// Compares untaint through live memory homes; that
-			// write-through must stay unobservable or the block path
-			// owns the instruction.
-			if op.homes&c.homesMask != 0 && c.sbHomesDirty(op.homes) {
-				c.stats.SuperblockDeopts++
-				c.stats.SbDeoptProbe++
-				return c.sbFinish(sb, iters, &sb.exits[op.exit], entryExtra)
-			}
-			var v uint32
 			switch op.code {
 			case sbSLTrr:
 				if int32(c.regs[op.a]) < int32(c.regs[op.b]) {
@@ -610,83 +609,97 @@ func (c *CPU) runSuperblock(sb *superblock, max uint64) (uint32, bool) {
 					v = 1
 				}
 			}
-			c.SetReg(isa.Register(op.dst), v, taint.None)
+			// Compares untaint through live memory homes; the op is clean
+			// only when that write-through would change nothing.
+			if c.regTaint[op.a]|c.regTaint[op.b] == taint.None &&
+				(op.homes&c.homesMask == 0 || c.homeClean(isa.Register(op.a)) && c.homeClean(isa.Register(op.b))) {
+				c.sbArm(armCompare, false)
+				c.SetReg(isa.Register(op.dst), v, taint.None)
+			} else {
+				c.sbArm(armCompare, true)
+				if hooked {
+					return c.sbExitBefore(sb, op, iters, tainted, entryExtra, &c.stats.SbDeoptHook)
+				}
+				c.sbPropagate(op, v, c.stats.Instructions+iters*n+uint64(i))
+				tainted++
+			}
+			i++
+			continue
 		case sbLW:
+			c.sbArm(armLoadAddr, c.regTaint[op.a] != taint.None)
+			if c.regTaint[op.a] != taint.None {
+				return c.sbExitBefore(sb, op, iters, tainted, entryExtra, &c.stats.SbDeoptTaintedAddr)
+			}
 			addr := c.regs[op.a] + op.imm
 			if addr < nullPage || addr&3 != 0 {
-				c.stats.SuperblockDeopts++
-				c.stats.SbDeoptMemFault++
-				return c.sbFinish(sb, iters, &sb.exits[op.exit], entryExtra)
+				return c.sbExitBefore(sb, op, iters, tainted, entryExtra, &c.stats.SbDeoptMemFault)
 			}
 			w, wv := m.WordAt(addr)
 			rd := isa.Register(op.dst)
-			if wv != taint.None {
-				// Taint birth: retire this load with its full effects,
-				// then exit so the block path sees the tainted register.
-				c.stats.SuperblockDeopts++
-				c.stats.SbDeoptLoadedTaint++
-				c.SetReg(rd, w, wv)
-				e := &sb.exits[op.exitT]
-				if c.prov != nil {
-					c.provLoad(rd, addr, op.pc, c.stats.Instructions+iters*sb.iter.done+e.done-1)
-				}
-				c.setHome(rd, addr, 4)
-				return c.sbFinish(sb, iters, e, entryExtra)
+			c.SetReg(rd, w, wv)
+			c.sbArm(armLoadValue, wv != taint.None)
+			if wv != taint.None && c.prov != nil {
+				c.provLoad(rd, addr, op.pc, c.stats.Instructions+iters*n+uint64(i))
 			}
-			c.SetReg(rd, w, taint.None)
 			c.setHome(rd, addr, 4)
+			i++
+			continue
 		case sbLB, sbLBU, sbLH, sbLHU:
+			c.sbArm(armLoadAddr, c.regTaint[op.a] != taint.None)
+			if c.regTaint[op.a] != taint.None {
+				return c.sbExitBefore(sb, op, iters, tainted, entryExtra, &c.stats.SbDeoptTaintedAddr)
+			}
 			addr := c.regs[op.a] + op.imm
 			w := sbWidth[op.code]
 			if addr < nullPage || addr&(w-1) != 0 {
-				c.stats.SuperblockDeopts++
-				c.stats.SbDeoptMemFault++
-				return c.sbFinish(sb, iters, &sb.exits[op.exit], entryExtra)
+				return c.sbExitBefore(sb, op, iters, tainted, entryExtra, &c.stats.SbDeoptMemFault)
 			}
 			v, vec := loadFlat(m, op.code, addr)
 			rd := isa.Register(op.dst)
 			c.SetReg(rd, v, vec)
-			if vec != taint.None {
-				c.stats.SuperblockDeopts++
-				c.stats.SbDeoptLoadedTaint++
-				e := &sb.exits[op.exitT]
-				if c.prov != nil {
-					c.provLoad(rd, addr, op.pc, c.stats.Instructions+iters*sb.iter.done+e.done-1)
-				}
-				c.setHome(rd, addr, int(w))
-				return c.sbFinish(sb, iters, e, entryExtra)
+			c.sbArm(armLoadValue, vec != taint.None)
+			if vec != taint.None && c.prov != nil {
+				c.provLoad(rd, addr, op.pc, c.stats.Instructions+iters*n+uint64(i))
 			}
 			c.setHome(rd, addr, int(w))
-		case sbSW:
+			i++
+			continue
+		case sbSW, sbSB, sbSH:
+			c.sbArm(armStoreAddr, c.regTaint[op.a] != taint.None)
+			if c.regTaint[op.a] != taint.None {
+				return c.sbExitBefore(sb, op, iters, tainted, entryExtra, &c.stats.SbDeoptTaintedAddr)
+			}
 			// addr < textEnd folds the null-page fault, the
 			// self-modifying-text eviction, and text stores into one
 			// deopt compare (text sits directly above the null page).
 			addr := c.regs[op.a] + op.imm
-			if addr&3 != 0 || addr < c.textEnd {
-				c.sbStoreDeopt(addr, 4)
-				return c.sbFinish(sb, iters, &sb.exits[op.exit], entryExtra)
-			}
-			m.PutWord(addr, c.regs[op.b], taint.None)
-			if c.homesMask != 0 {
-				c.invalidateHomes(addr, 4)
-			}
-		case sbSB, sbSH:
-			addr := c.regs[op.a] + op.imm
 			w := sbWidth[op.code]
 			if addr&(w-1) != 0 || addr < c.textEnd {
 				c.sbStoreDeopt(addr, w)
-				return c.sbFinish(sb, iters, &sb.exits[op.exit], entryExtra)
+				return c.sbFinish(sb, iters, &sb.exits[op.exit], tainted, entryExtra)
 			}
-			storeFlat(m, w, addr, c.regs[op.b], taint.None)
+			vec := c.regTaint[op.b]
+			c.sbArm(armStoreValue, vec != taint.None)
+			if vec == taint.None {
+				storeFlat(m, w, addr, c.regs[op.b], taint.None)
+			} else {
+				if len(c.watches) != 0 {
+					return c.sbExitBefore(sb, op, iters, tainted, entryExtra, &c.stats.SbDeoptHook)
+				}
+				if w == 1 {
+					vec &= taint.ForWidth(1) // a byte store carries lane 0 only, provenance included
+				}
+				storeFlat(m, w, addr, c.regs[op.b], vec)
+				if vec != taint.None && c.prov != nil {
+					c.provStore(addr, int(w), isa.Register(op.b))
+				}
+			}
 			if c.homesMask != 0 {
 				c.invalidateHomes(addr, int(w))
 			}
+			i++
+			continue
 		case sbBEQ, sbBNE, sbBLEZ, sbBGTZ, sbBLTZ, sbBGEZ:
-			if sb.branchGuard && op.homes&c.homesMask != 0 && c.sbHomesDirty(op.homes) {
-				c.stats.SuperblockDeopts++
-				c.stats.SbDeoptProbe++
-				return c.sbFinish(sb, iters, &sb.exits[op.exit], entryExtra)
-			}
 			var taken bool
 			switch op.code {
 			case sbBEQ:
@@ -702,6 +715,17 @@ func (c *CPU) runSuperblock(sb *superblock, max uint64) (uint32, bool) {
 			case sbBGEZ:
 				taken = int32(c.regs[op.a]) >= 0
 			}
+			if sb.branchGuard {
+				// The branch-untaint ablation: execBranch's rule, inline.
+				dirty := c.regTaint[op.a]|c.regTaint[op.b] != taint.None ||
+					op.homes&c.homesMask != 0 && !(c.homeClean(isa.Register(op.a)) && c.homeClean(isa.Register(op.b)))
+				c.sbArm(armBranch, dirty)
+				if dirty {
+					c.untaintWithHome(isa.Register(op.a))
+					c.untaintWithHome(isa.Register(op.b))
+					tainted++
+				}
+			}
 			if c.cov != nil {
 				to := op.pc + 4
 				if taken {
@@ -710,16 +734,18 @@ func (c *CPU) runSuperblock(sb *superblock, max uint64) (uint32, bool) {
 				c.cov.hit(op.pc, to)
 			}
 			if taken != (op.flags&sbfExpTaken != 0) {
-				return c.sbFinish(sb, iters, &sb.exits[op.exitT], entryExtra)
+				return c.sbFinish(sb, iters, &sb.exits[op.exitT], tainted, entryExtra)
 			}
 			if op.flags&sbfLoop != 0 {
 				iters++
 				if iters >= iterBudget {
-					return c.sbFinish(sb, iters, &sb.exits[0], entryExtra)
+					return c.sbFinish(sb, iters, &sb.exits[0], tainted, entryExtra)
 				}
 				i = 0
 				continue
 			}
+			i++
+			continue
 		case sbJMP:
 			if c.cov != nil {
 				c.cov.hit(op.pc, op.tgt)
@@ -727,11 +753,25 @@ func (c *CPU) runSuperblock(sb *superblock, max uint64) (uint32, bool) {
 			if op.flags&sbfLoop != 0 {
 				iters++
 				if iters >= iterBudget {
-					return c.sbFinish(sb, iters, &sb.exits[0], entryExtra)
+					return c.sbFinish(sb, iters, &sb.exits[0], tainted, entryExtra)
 				}
 				i = 0
 				continue
 			}
+			i++
+			continue
+		}
+		// ALU and shift ops: Table 1 beside the value.
+		if c.regTaint[op.a]|c.regTaint[op.b] == taint.None {
+			c.sbArm(armALU, false)
+			c.SetReg(isa.Register(op.dst), v, taint.None)
+		} else {
+			c.sbArm(armALU, true)
+			if hooked {
+				return c.sbExitBefore(sb, op, iters, tainted, entryExtra, &c.stats.SbDeoptHook)
+			}
+			c.sbPropagate(op, v, c.stats.Instructions+iters*n+uint64(i))
+			tainted++
 		}
 		i++
 	}

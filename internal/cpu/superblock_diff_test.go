@@ -24,8 +24,8 @@ int main() {
 `
 
 // sbTaintedLoopSrc scans a tainted buffer: every iteration's load is a
-// taint birth, exercising the post-op side exit and the re-entry guard
-// on each pass.
+// taint birth and its compare untaints the loaded byte, which the trace
+// carries inline.
 const sbTaintedLoopSrc = `
 char buf[64];
 int main() {
@@ -83,12 +83,12 @@ func TestSuperblockCDifferentialCleanLoop(t *testing.T) {
 func TestSuperblockCDifferentialTaintedLoad(t *testing.T) {
 	fast := sbCompareC(t, sbTaintedLoopSrc, []byte("xyxyxyxyxyxyxyxyxyxyxyxyxyxyxyxy"))
 	s := fast.Stats()
-	if s.SuperblockDeopts == 0 {
-		t.Errorf("tainted scan never forced a deopt")
+	if s.SuperblockDeopts != 0 {
+		t.Errorf("tainted scan deopted %d times, want 0: %+v", s.SuperblockDeopts, s.DeoptReasons())
 	}
-	if s.SbDeoptLoadedTaint == 0 {
-		t.Errorf("tainted scan deopted %d times but none attributed to loaded-taint: %+v",
-			s.SuperblockDeopts, s.DeoptReasons())
+	if s.SuperblockInstrs < s.Instructions/2 {
+		t.Errorf("superblocks retired %d of %d instructions; the tainted scan should stay in its trace",
+			s.SuperblockInstrs, s.Instructions)
 	}
 	checkDeoptBreakdown(t, "fast", s)
 }

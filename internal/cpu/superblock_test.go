@@ -1,5 +1,5 @@
 // Differential tests for the superblock trace tier's deopt edges: every
-// specialization assumption (clean entry state, no probes, stable text,
+// specialization assumption (clean addresses, no probes, stable text,
 // no armed injection, no coverage regime change) is violated mid-run and
 // the machine state must stay byte-identical to the reference
 // interpreter — same registers, taint, counters, pipeline timing, and
@@ -89,7 +89,7 @@ func sbDiff(t *testing.T, src string, arm func(*CPU)) *CPU {
 	return fast
 }
 
-// sbHotLoop is a statically-clean counted loop, hot enough (5000
+// sbHotLoop is a clean counted loop, hot enough (5000
 // iterations against a threshold of 64 dispatches) that the fast run
 // must spend most of its retirements inside a compiled superblock.
 const sbHotLoop = `
@@ -121,11 +121,11 @@ func TestSuperblockCleanLoop(t *testing.T) {
 	}
 }
 
-// TestSuperblockTaintedLoadDeopt drives the taint-birth side exit: every
-// iteration loads a tainted word, so the trace must retire the load,
-// surface the tainted register, and hand the rest of the iteration to
-// the block path — at full architectural fidelity, every time.
-func TestSuperblockTaintedLoadDeopt(t *testing.T) {
+// TestSuperblockCarriesTaintedLoad: every iteration loads a tainted word
+// and computes on it. The trace carries the taint bits beside the values
+// and applies Table 1 inline, so it never leaves, at full architectural
+// fidelity.
+func TestSuperblockCarriesTaintedLoad(t *testing.T) {
 	const src = `
 	.data
 	buf:
@@ -146,17 +146,58 @@ func TestSuperblockTaintedLoadDeopt(t *testing.T) {
 		andi  $t0, $s0, 12
 		addu  $t1, $s2, $t0
 		lw    $t2, 0($t1)
+		addu  $t4, $t4, $t2
 		addiu $s0, $s0, 1
 		slt   $t3, $s0, $s1
 		bne   $t3, $zero, loop
 	` + exitZero
 	fast := sbDiff(t, src, nil)
 	s := fast.Stats()
-	if s.SuperblockRuns == 0 {
-		t.Errorf("superblock tier never engaged")
+	if s.SuperblockDeopts != 0 {
+		t.Errorf("tainted loads forced %d deopts, want 0: %+v", s.SuperblockDeopts, s.DeoptReasons())
 	}
-	if s.SuperblockDeopts == 0 {
-		t.Errorf("tainted loads never forced a deopt")
+	if s.SuperblockInstrs < s.Instructions*9/10 {
+		t.Errorf("superblocks retired %d of %d instructions; the tainted loop should stay in its trace", s.SuperblockInstrs, s.Instructions)
+	}
+	if got := fast.RegTaint(isa.RegT4); got != taint.Word {
+		t.Errorf("$t4 taint %v, want the loaded words' taint", got)
+	}
+}
+
+// TestSuperblockTaintedAddressDeopt: once the loop's pointer turns
+// tainted, the trace leaves before the load (the checked dereference) and
+// the block path raises the same alert, at the same pc and count, as the
+// reference interpreter.
+func TestSuperblockTaintedAddressDeopt(t *testing.T) {
+	const src = `
+	.data
+	buf:	.word 0, 0, 0, 0
+	.text
+	main:
+		la    $a0, buf
+		li    $a1, 4
+		li    $v0, 100
+		syscall
+		la    $s2, buf
+		move  $t1, $s2
+		li    $s0, 0
+		li    $s1, 3000
+	loop:
+		lw    $t2, 4($t1)
+		addiu $s0, $s0, 1
+		bne   $s0, $s1, loop
+		lw    $t6, 0($s2)
+		addu  $t1, $s2, $t6
+		li    $s1, 6000
+		j     loop
+	`
+	fast := sbDiff(t, src, nil)
+	s := fast.Stats()
+	if s.Alerts != 1 || s.SuperblockInstrs == 0 {
+		t.Fatalf("want one alert after the trace ran: %+v", s)
+	}
+	if s.SuperblockDeopts != 1 || s.SbDeoptTaintedAddr != 1 {
+		t.Errorf("deopts %d, tainted-address %d; want 1, 1", s.SuperblockDeopts, s.SbDeoptTaintedAddr)
 	}
 }
 
@@ -191,8 +232,8 @@ func TestSuperblockProbeSuppression(t *testing.T) {
 // TestSuperblockInjectionInvalidation arms a fault injection that taints
 // the loop counter mid-run: the trigger must land at the same retired
 // count on both engines (the superblock budget clamp), the compiled
-// trace must stop accepting the now-tainted entry state, and the runs
-// must converge to identical final states.
+// trace must carry the now-tainted counter, and the runs must converge
+// to identical final states.
 func TestSuperblockInjectionInvalidation(t *testing.T) {
 	fast := sbDiff(t, sbHotLoop, func(c *CPU) {
 		c.InjectAt(10_000, func(c *CPU) {
