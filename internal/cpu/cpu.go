@@ -67,7 +67,10 @@ type CPU struct {
 	// homesMask has bit r set iff regHomes[r].ok, so the per-store home
 	// invalidation scan can skip dead entries (usually all of them).
 	homesMask uint32
-	pc        uint32
+	// homeUntaints counts the tainted home bytes compare untaints have
+	// written through to (HomeUntaints).
+	homeUntaints uint64
+	pc           uint32
 
 	bus     Bus
 	policy  taint.Policy
@@ -258,7 +261,7 @@ func (c *CPU) untaintWithHome(r isa.Register) {
 		return
 	}
 	c.regTaint[r] = taint.None
-	if c.homesMask&(1<<r) == 0 {
+	if c.homesMask&(1<<r) == 0 || c.prop.DisableHomeWriteThrough {
 		return
 	}
 	h := c.regHomes[r]
@@ -273,15 +276,25 @@ func (c *CPU) untaintWithHome(r isa.Register) {
 			b, t := c.flatMem.LoadByte(h.addr + i)
 			if t {
 				c.flatMem.StoreByte(h.addr+i, b, false)
+				c.homeUntaints++
 			}
 		}
 		return
 	}
 	for i := uint32(0); i < uint32(h.width); i++ {
-		b, _ := c.bus.LoadByte(h.addr + i)
+		b, t := c.bus.LoadByte(h.addr + i)
 		c.bus.StoreByte(h.addr+i, b, false)
+		if t {
+			c.homeUntaints++
+		}
 	}
 }
+
+// HomeUntaints returns how many tainted bytes the compare-untaint rule has
+// untainted by writing through to register homes — the memory the
+// reproduction's write-through changes where the paper's binaries would
+// have kept the validated value in a register.
+func (c *CPU) HomeUntaints() uint64 { return c.homeUntaints }
 
 // homeAudit is the home-mirror invariant, armed by tests: a live home
 // must still hold its register's value (the low width bytes; a narrow

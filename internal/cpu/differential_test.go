@@ -188,6 +188,9 @@ func TestDifferentialCorpus(t *testing.T) {
 			fastErr := fast.Run()
 			compareMachines(t, ref, fast, refErr, fastErr)
 			checkHomeAudits(t, refAudit, fastAudit)
+			if r, f := ref.CPU.HomeUntaints(), fast.CPU.HomeUntaints(); r != f {
+				t.Errorf("tainted home bytes untainted: fast %d, reference %d", f, r)
+			}
 		})
 	}
 }

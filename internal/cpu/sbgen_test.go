@@ -8,8 +8,10 @@
 // and fresh memory taint. Each program runs on the reference interpreter,
 // the block-only fast path (SetSuperblocks(false)) and the full fast
 // path; the three must agree on alerts, architectural counters,
-// pipeline, memory fingerprint, coverage, registers and trace events,
-// and block-only and full must agree on CleanSkips and TaintedSteps.
+// pipeline, memory fingerprint, coverage, registers, trace events and
+// the tainted home bytes compare untaints wrote through to, and
+// block-only and full must agree on CleanSkips and TaintedSteps. Every
+// engine runs with the home-mirror audit armed.
 //
 // testdata/sbgen-corpus.txt holds the seeds go test replays. The corpus
 // must drive every superblock deopt reason and both arms of each taint
@@ -339,6 +341,8 @@ func genProgram(seed uint64) genProg {
 			DisableShiftSmear:     r.IntN(3) == 0,
 			WordGranularity:       r.IntN(3) == 0,
 			EnableBranchUntaint:   r.IntN(2) == 0,
+			// New switches go last, so existing seeds keep their programs.
+			DisableHomeWriteThrough: r.IntN(3) == 0,
 		}
 	}
 	return p
@@ -405,8 +409,9 @@ type genResult struct {
 	events []Event
 	// audited counts the home write-throughs checked by the home-mirror
 	// invariant; stale is its first violation.
-	audited uint64
-	stale   error
+	audited      uint64
+	stale        error
+	homeUntaints uint64
 	// arms counts the runSuperblock taint-test arms taken (sbArm).
 	arms *[numSbArms]uint64
 }
@@ -455,6 +460,7 @@ func (p *genProg) run(t testing.TB, e genEngine) genResult {
 	res.mem = m.Fingerprint()
 	res.cov = cov
 	res.regs = c.regs
+	res.homeUntaints = c.HomeUntaints()
 	res.halted, _ = c.Halted()
 	res.audited, res.stale = audit()
 	res.taints = c.regTaint
@@ -518,6 +524,9 @@ func genCompare(t testing.TB, seed uint64, e genEngine, ref, got genResult) {
 	}
 	if !reflect.DeepEqual(got.events, ref.events) {
 		fail("events", len(ref.events), len(got.events))
+	}
+	if got.homeUntaints != ref.homeUntaints {
+		fail("tainted home bytes untainted", ref.homeUntaints, got.homeUntaints)
 	}
 	if got.stale != nil {
 		t.Errorf("seed %d, %s engine: stale register home: %v", seed, e, got.stale)

@@ -1,10 +1,12 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 
 	"repro/internal/attack"
+	"repro/internal/cpu"
 	"repro/internal/progs"
 	"repro/internal/taint"
 )
@@ -29,7 +31,10 @@ type AblationResult struct {
 //     the cost is precision of alert values, shown on exp1;
 //   - branch untaint on: equality branches also launder taint, which
 //     breaks detection of the GHTTPD URL-pointer attack (the corrupted
-//     pointer passes a comparison on the request path).
+//     pointer passes a comparison on the request path);
+//   - the Section 5.3 annotation extension on the Table 4(B) victim;
+//   - compare untaint without the home write-through: five of the six
+//     SPEC analogues false-positive (WriteThroughAblation).
 func Ablations() (AblationResult, error) {
 	var res AblationResult
 
@@ -107,7 +112,76 @@ func Ablations() (AblationResult, error) {
 		Observation: fmt.Sprintf("plain=%s, annotated=%s (%s)",
 			shortOutcome(plain), shortOutcome(annotated), annotated.Evidence),
 	})
+
+	// 5. Compare untaint without the home write-through: the registers
+	// are still untainted, but the memory they were loaded from is not,
+	// so code that reloads a validated value (ptcc keeps locals in the
+	// frame) dereferences it tainted.
+	writeThrough, err := WriteThroughAblation()
+	if err != nil {
+		return res, err
+	}
+	var obs5 []string
+	for _, w := range writeThrough {
+		off := "no alert"
+		if w.Alerts > 0 {
+			off = fmt.Sprintf("alert after %d instructions", w.AlertAt)
+		}
+		obs5 = append(obs5, fmt.Sprintf("%s: %d tainted home bytes untainted; without write-through %s",
+			w.Program, w.HomeUntaints, off))
+	}
+	res.Rows = append(res.Rows, AblationRow{
+		Ablation:    "compare untaint without write-through (the SPEC analogues)",
+		Observation: strings.Join(obs5, "\n  "),
+	})
 	return res, nil
+}
+
+// WriteThroughRow is one SPEC analogue under the write-through ablation.
+type WriteThroughRow struct {
+	Program string
+	// HomeUntaints counts the tainted home bytes compare untaints wrote
+	// through to, with the write-through on.
+	HomeUntaints uint64
+	// Alerts and AlertAt (its retired-instruction count) are the run's
+	// alerts with the write-through off.
+	Alerts  uint64
+	AlertAt uint64
+}
+
+// WriteThroughAblation runs every SPEC analogue on its seeded input twice:
+// with the compare-untaint write-through, counting the tainted home bytes
+// it untaints, and without it, recording the alerts that follow.
+func WriteThroughAblation() ([]WriteThroughRow, error) {
+	var rows []WriteThroughRow
+	for _, p := range progs.SpecSuite() {
+		row := WriteThroughRow{Program: p.Name}
+		for _, off := range []bool{false, true} {
+			m, err := attack.Boot(p, attack.Options{
+				Policy: taint.PolicyPointerTaintedness,
+				Prop:   taint.Propagator{DisableHomeWriteThrough: off},
+				Files:  map[string][]byte{"/input": progs.SpecInput(p.Name, 1)},
+			})
+			if err != nil {
+				return nil, err
+			}
+			runErr := m.Run()
+			if !off {
+				if runErr != nil {
+					return nil, fmt.Errorf("%s with write-through: %w", p.Name, runErr)
+				}
+				row.HomeUntaints = m.CPU.HomeUntaints()
+				continue
+			}
+			row.Alerts = m.CPU.Stats().Alerts
+			var a *cpu.SecurityAlert
+			if errors.As(runErr, &a) {
+				row.AlertAt = a.Instrs
+			}
+		}
+		rows = append(rows, row)
+	}
+	return rows, nil
 }
 
 func exp2WithBranchUntaint() (attack.Outcome, error) {

@@ -199,7 +199,7 @@ func TestAblations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.Rows) != 4 {
+	if len(r.Rows) != 5 {
 		t.Fatalf("rows = %d", len(r.Rows))
 	}
 	// Disabling the compare-untaint rule must cause benign false positives.
@@ -213,6 +213,21 @@ func TestAblations(t *testing.T) {
 	// The annotation extension converts the Table 4(B) miss into a catch.
 	if !strings.Contains(r.Rows[3].Observation, "annotated=detected") {
 		t.Errorf("annotation ablation: %s", r.Rows[3].Observation)
+	}
+	// The compare-untaint write-through is load-bearing: with it, each
+	// SPEC analogue untaints these home bytes; without it, all but gccs
+	// false-positive.
+	for _, want := range []string{
+		"bzip2s: 3000 tainted home bytes untainted; without write-through alert after 8883 instructions",
+		"gccs: 845 tainted home bytes untainted; without write-through no alert",
+		"gzips: 608 tainted home bytes untainted; without write-through alert after 30958 instructions",
+		"mcfs: 4604 tainted home bytes untainted; without write-through alert after 1080421 instructions",
+		"parsers: 4000 tainted home bytes untainted; without write-through alert after 8737 instructions",
+		"vprs: 617 tainted home bytes untainted; without write-through alert after 167516 instructions",
+	} {
+		if !strings.Contains(r.Rows[4].Observation, want) {
+			t.Errorf("write-through ablation: want %q in\n%s", want, r.Rows[4].Observation)
+		}
 	}
 }
 

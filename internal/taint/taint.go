@@ -128,6 +128,12 @@ type Propagator struct {
 	// taints all four lanes of the result. Used by the granularity
 	// ablation; the paper argues for per-byte bits.
 	WordGranularity bool
+	// DisableHomeWriteThrough keeps the compare-untaint rule on registers
+	// but stops the machine writing the untaint through to the memory a
+	// register was loaded from. The write-through stands in for the
+	// register allocation of the paper's binaries (DESIGN.md); the
+	// ablation shows which benign programs then false-positive.
+	DisableHomeWriteThrough bool
 	// EnableBranchUntaint extends the compare-untaint rule to conditional
 	// branches. Table 1 names only compare instructions; treating equality
 	// branches as validation would let a null-check launder a corrupted
