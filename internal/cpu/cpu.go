@@ -144,8 +144,8 @@ type CPU struct {
 	// write-through against its home: see untaintWithHome.
 	homeAudit *homeAudit
 	// sbArms, when non-nil (tests only), counts the arms runSuperblock's
-	// taint tests take (sbArm).
-	sbArms *[numSbArms]uint64
+	// taint tests take (sbArmCount).
+	sbArms *sbArmCount
 
 	// injectFn, when non-nil, is a one-shot fault-injection callback armed
 	// by InjectAt (guard.go) to fire at the first instruction boundary

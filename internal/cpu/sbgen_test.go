@@ -413,7 +413,7 @@ type genResult struct {
 	stale        error
 	homeUntaints uint64
 	// arms counts the runSuperblock taint-test arms taken (sbArm).
-	arms *[numSbArms]uint64
+	arms *sbArmCount
 }
 
 // run boots p on engine e and runs it to completion or the budget.
@@ -441,7 +441,7 @@ func (p *genProg) run(t testing.TB, e genEngine) genResult {
 	cov := new(CovMap)
 	c.SetCovMap(cov)
 	audit := AuditHomes(c)
-	res := genResult{arms: new([numSbArms]uint64)}
+	res := genResult{arms: new(sbArmCount)}
 	c.sbArms = res.arms
 	var runErr error
 	switch e {
@@ -597,7 +597,7 @@ func TestSuperblockGenCorpus(t *testing.T) {
 		full := genCheck(t, s)
 		st := full.stats
 		audited += full.audited
-		for i, n := range full.arms {
+		for i, n := range full.arms.taken {
 			arms[i] += n
 		}
 		total.SuperblockInstrs += st.SuperblockInstrs

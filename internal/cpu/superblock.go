@@ -410,6 +410,9 @@ var sbImmB = [numSbOps]bool{sbLUI: true, sbADDri: true, sbANDri: true, sbORri: t
 // machine state is untouched (the caller must then make progress on the
 // block path before re-entering this superblock).
 func (c *CPU) sbFinish(sb *superblock, iters uint64, e *sbExit, tainted, entryExtra uint64) (uint32, bool) {
+	if c.sbArms != nil {
+		c.sbArms.finish(sb, iters, e.done)
+	}
 	it := &sb.iter
 	done := iters*it.done + e.done
 	if done == 0 {
@@ -441,6 +444,47 @@ func (c *CPU) sbStoreDeopt(addr, w uint32) {
 	} else {
 		c.stats.SbDeoptSelfModify++
 	}
+}
+
+// sbStore is a trace store: it leaves the trace (exited) before a store
+// through a tainted address, one its range guard rejects, or a tainted
+// store while taint watches are registered; otherwise it stores the value
+// with its taint, as execMemFast does.
+func (c *CPU) sbStore(sb *superblock, op *sbOp, iters, tainted, entryExtra uint64) (npc uint32, ok, exited bool) {
+	if c.regTaint[op.a] != taint.None {
+		c.sbArm(armStoreAddr+1, false)
+		npc, ok = c.sbExitBefore(sb, op, iters, tainted, entryExtra, &c.stats.SbDeoptTaintedAddr)
+		return npc, ok, true
+	}
+	addr := c.regs[op.a] + op.imm
+	w := sbWidth[op.code]
+	if addr&(w-1) != 0 || addr < c.textEnd {
+		c.sbArm(armStoreAddr, false)
+		c.sbStoreDeopt(addr, w)
+		npc, ok = c.sbFinish(sb, iters, &sb.exits[op.exit], tainted, entryExtra)
+		return npc, ok, true
+	}
+	vec := c.regTaint[op.b]
+	if vec != taint.None {
+		if len(c.watches) != 0 {
+			c.sbArm(armStoreAddr, false)
+			c.sbArm(armStoreValue+1, false)
+			npc, ok = c.sbExitBefore(sb, op, iters, tainted, entryExtra, &c.stats.SbDeoptHook)
+			return npc, ok, true
+		}
+		c.sbArm(armStoreValue+1, true)
+		if w == 1 {
+			vec &= taint.ForWidth(1) // a byte store carries lane 0 only, provenance included
+		}
+	}
+	storeFlat(c.flatMem, w, addr, c.regs[op.b], vec)
+	if vec != taint.None && c.prov != nil {
+		c.provStore(addr, int(w), isa.Register(op.b))
+	}
+	if c.homesMask != 0 {
+		c.invalidateHomes(addr, int(w))
+	}
+	return 0, false, false
 }
 
 // sbExitBefore leaves the trace before op, which the block path then
@@ -483,21 +527,64 @@ const (
 	armALU        = 2 * iota // ALU and shift operands
 	armCompare               // compare operands and homes
 	armLoadAddr              // load address register
-	armLoadValue             // loaded value (the provenance hook's test)
+	armLoadValue             // loaded value
 	armStoreAddr             // store address register
 	armStoreValue            // stored value
 	armBranch                // branch operands and homes (branch-untaint ablation)
 	numSbArms
 )
 
-// sbArm counts arm arm (plus 1 when tainted) of a taint test, when a test
-// armed the count.
-func (c *CPU) sbArm(arm int, tainted bool) {
-	if c.sbArms != nil {
-		if tainted {
-			arm++
+// sbArmCount is runSuperblock's taint-test coverage, kept only when a test
+// asks for it (CPU.sbArms). The clean arms are the traces' fast paths, so
+// they are not counted where they run: an arm taken by an op that leaves
+// the trace is counted at once, a tainted arm taken by an op that retires
+// waits in pending, and at every exit finish credits each retired op's
+// tests with the clean arm unless pending says otherwise.
+type sbArmCount struct {
+	taken   [numSbArms]uint64
+	pending [numSbArms]uint64
+}
+
+// sbArm records arm as taken by the current op, which retires or leaves
+// the trace before retiring. A no-op unless a test armed c.sbArms.
+func (c *CPU) sbArm(arm int, retires bool) {
+	if a := c.sbArms; a != nil {
+		if retires {
+			a.pending[arm]++
+		} else {
+			a.taken[arm]++
 		}
-		c.sbArms[arm]++
+	}
+}
+
+// finish credits the taint tests of the ops a run retired: every op of
+// iters whole iterations and the first partial ops of the last one.
+func (a *sbArmCount) finish(sb *superblock, iters, partial uint64) {
+	var reached [numSbArms]uint64
+	for j := range sb.ops {
+		n := iters
+		if uint64(j) < partial {
+			n++
+		}
+		switch code := sb.ops[j].code; {
+		case code >= sbLUI && code <= sbSRArr:
+			reached[armALU] += n
+		case code >= sbSLTrr && code <= sbSLTUri:
+			reached[armCompare] += n
+		case code >= sbLW && code <= sbLHU:
+			reached[armLoadAddr] += n
+			reached[armLoadValue] += n
+		case code >= sbSW && code <= sbSH:
+			reached[armStoreAddr] += n
+			reached[armStoreValue] += n
+		case code >= sbBEQ && code <= sbBGEZ && sb.branchGuard:
+			reached[armBranch] += n
+		}
+	}
+	for k := 0; k < numSbArms; k += 2 {
+		a.taken[k] += reached[k] - a.pending[k+1]
+		a.taken[k+1] += a.pending[k+1]
+		a.pending[k+1] = 0
 	}
 }
 
@@ -526,6 +613,9 @@ func (c *CPU) runSuperblock(sb *superblock, max uint64) (uint32, bool) {
 	i := 0
 	for {
 		op := &ops[i]
+		// t is the taint of the op's register operands: ALU operands, a
+		// load's address, a store's address and value, a branch's tests.
+		t := c.regTaint[op.a] | c.regTaint[op.b]
 		var v uint32
 		switch op.code {
 		case sbNOP:
@@ -611,12 +701,11 @@ func (c *CPU) runSuperblock(sb *superblock, max uint64) (uint32, bool) {
 			}
 			// Compares untaint through live memory homes; the op is clean
 			// only when that write-through would change nothing.
-			if c.regTaint[op.a]|c.regTaint[op.b] == taint.None &&
+			if t == taint.None &&
 				(op.homes&c.homesMask == 0 || c.homeClean(isa.Register(op.a)) && c.homeClean(isa.Register(op.b))) {
-				c.sbArm(armCompare, false)
 				c.SetReg(isa.Register(op.dst), v, taint.None)
 			} else {
-				c.sbArm(armCompare, true)
+				c.sbArm(armCompare+1, !hooked)
 				if hooked {
 					return c.sbExitBefore(sb, op, iters, tainted, entryExtra, &c.stats.SbDeoptHook)
 				}
@@ -626,76 +715,73 @@ func (c *CPU) runSuperblock(sb *superblock, max uint64) (uint32, bool) {
 			i++
 			continue
 		case sbLW:
-			c.sbArm(armLoadAddr, c.regTaint[op.a] != taint.None)
-			if c.regTaint[op.a] != taint.None {
+			if t != taint.None {
+				c.sbArm(armLoadAddr+1, false)
 				return c.sbExitBefore(sb, op, iters, tainted, entryExtra, &c.stats.SbDeoptTaintedAddr)
 			}
 			addr := c.regs[op.a] + op.imm
 			if addr < nullPage || addr&3 != 0 {
+				c.sbArm(armLoadAddr, false)
 				return c.sbExitBefore(sb, op, iters, tainted, entryExtra, &c.stats.SbDeoptMemFault)
 			}
 			w, wv := m.WordAt(addr)
 			rd := isa.Register(op.dst)
 			c.SetReg(rd, w, wv)
-			c.sbArm(armLoadValue, wv != taint.None)
-			if wv != taint.None && c.prov != nil {
-				c.provLoad(rd, addr, op.pc, c.stats.Instructions+iters*n+uint64(i))
+			if wv != taint.None {
+				c.sbArm(armLoadValue+1, true)
+				if c.prov != nil {
+					c.provLoad(rd, addr, op.pc, c.stats.Instructions+iters*n+uint64(i))
+				}
 			}
 			c.setHome(rd, addr, 4)
 			i++
 			continue
 		case sbLB, sbLBU, sbLH, sbLHU:
-			c.sbArm(armLoadAddr, c.regTaint[op.a] != taint.None)
-			if c.regTaint[op.a] != taint.None {
+			if t != taint.None {
+				c.sbArm(armLoadAddr+1, false)
 				return c.sbExitBefore(sb, op, iters, tainted, entryExtra, &c.stats.SbDeoptTaintedAddr)
 			}
 			addr := c.regs[op.a] + op.imm
 			w := sbWidth[op.code]
 			if addr < nullPage || addr&(w-1) != 0 {
+				c.sbArm(armLoadAddr, false)
 				return c.sbExitBefore(sb, op, iters, tainted, entryExtra, &c.stats.SbDeoptMemFault)
 			}
 			v, vec := loadFlat(m, op.code, addr)
 			rd := isa.Register(op.dst)
 			c.SetReg(rd, v, vec)
-			c.sbArm(armLoadValue, vec != taint.None)
-			if vec != taint.None && c.prov != nil {
-				c.provLoad(rd, addr, op.pc, c.stats.Instructions+iters*n+uint64(i))
+			if vec != taint.None {
+				c.sbArm(armLoadValue+1, true)
+				if c.prov != nil {
+					c.provLoad(rd, addr, op.pc, c.stats.Instructions+iters*n+uint64(i))
+				}
 			}
 			c.setHome(rd, addr, int(w))
 			i++
 			continue
-		case sbSW, sbSB, sbSH:
-			c.sbArm(armStoreAddr, c.regTaint[op.a] != taint.None)
-			if c.regTaint[op.a] != taint.None {
-				return c.sbExitBefore(sb, op, iters, tainted, entryExtra, &c.stats.SbDeoptTaintedAddr)
-			}
-			// addr < textEnd folds the null-page fault, the
-			// self-modifying-text eviction, and text stores into one
-			// deopt compare (text sits directly above the null page).
-			addr := c.regs[op.a] + op.imm
-			w := sbWidth[op.code]
-			if addr&(w-1) != 0 || addr < c.textEnd {
-				c.sbStoreDeopt(addr, w)
-				return c.sbFinish(sb, iters, &sb.exits[op.exit], tainted, entryExtra)
-			}
-			vec := c.regTaint[op.b]
-			c.sbArm(armStoreValue, vec != taint.None)
-			if vec == taint.None {
-				storeFlat(m, w, addr, c.regs[op.b], taint.None)
-			} else {
-				if len(c.watches) != 0 {
-					return c.sbExitBefore(sb, op, iters, tainted, entryExtra, &c.stats.SbDeoptHook)
-				}
-				if w == 1 {
-					vec &= taint.ForWidth(1) // a byte store carries lane 0 only, provenance included
-				}
-				storeFlat(m, w, addr, c.regs[op.b], vec)
-				if vec != taint.None && c.prov != nil {
-					c.provStore(addr, int(w), isa.Register(op.b))
+		case sbSW:
+			// The dominant store: sbStore's clean case, inline.
+			if t == taint.None {
+				// addr < textEnd folds the null-page fault, the
+				// self-modifying-text eviction, and text stores into one
+				// deopt compare (text sits directly above the null page).
+				if addr := c.regs[op.a] + op.imm; addr&3 == 0 && addr >= c.textEnd {
+					m.PutWord(addr, c.regs[op.b], taint.None)
+					if c.homesMask != 0 {
+						c.invalidateHomes(addr, 4)
+					}
+					i++
+					continue
 				}
 			}
-			if c.homesMask != 0 {
-				c.invalidateHomes(addr, int(w))
+			if npc, ok, exited := c.sbStore(sb, op, iters, tainted, entryExtra); exited {
+				return npc, ok
+			}
+			i++
+			continue
+		case sbSB, sbSH:
+			if npc, ok, exited := c.sbStore(sb, op, iters, tainted, entryExtra); exited {
+				return npc, ok
 			}
 			i++
 			continue
@@ -717,10 +803,10 @@ func (c *CPU) runSuperblock(sb *superblock, max uint64) (uint32, bool) {
 			}
 			if sb.branchGuard {
 				// The branch-untaint ablation: execBranch's rule, inline.
-				dirty := c.regTaint[op.a]|c.regTaint[op.b] != taint.None ||
+				dirty := t != taint.None ||
 					op.homes&c.homesMask != 0 && !(c.homeClean(isa.Register(op.a)) && c.homeClean(isa.Register(op.b)))
-				c.sbArm(armBranch, dirty)
 				if dirty {
+					c.sbArm(armBranch+1, true)
 					c.untaintWithHome(isa.Register(op.a))
 					c.untaintWithHome(isa.Register(op.b))
 					tainted++
@@ -762,11 +848,10 @@ func (c *CPU) runSuperblock(sb *superblock, max uint64) (uint32, bool) {
 			continue
 		}
 		// ALU and shift ops: Table 1 beside the value.
-		if c.regTaint[op.a]|c.regTaint[op.b] == taint.None {
-			c.sbArm(armALU, false)
+		if t == taint.None {
 			c.SetReg(isa.Register(op.dst), v, taint.None)
 		} else {
-			c.sbArm(armALU, true)
+			c.sbArm(armALU+1, !hooked)
 			if hooked {
 				return c.sbExitBefore(sb, op, iters, tainted, entryExtra, &c.stats.SbDeoptHook)
 			}
