@@ -139,6 +139,11 @@ type CPU struct {
 	sbBad    []uint8
 	sbOff    bool
 	sbShared bool
+	// The running trace's length, its entry-edge stall (0 or 1) and its
+	// count of retired ops whose operands were not clean: state of
+	// runSuperblock that only its slow paths and exits read, kept here
+	// rather than in registers its hot loop needs.
+	sbLen, sbEntryExtra, sbTainted uint64
 
 	// homeAudit, when non-nil (tests only), checks every compare-untaint
 	// write-through against its home: see untaintWithHome.

@@ -404,12 +404,12 @@ var sbImmB = [numSbOps]bool{sbLUI: true, sbADDri: true, sbANDri: true, sbORri: t
 
 // sbFinish materializes iters complete iterations plus the partial exit
 // record e into the machine's stats and pipeline, and returns the
-// resume pc. tainted counts the retired ops whose operands were not
+// resume pc. c.sbTainted counts the retired ops whose operands were not
 // clean, which the block path would have counted as tainted steps. The
 // second result reports whether any instruction retired: when false the
 // machine state is untouched (the caller must then make progress on the
 // block path before re-entering this superblock).
-func (c *CPU) sbFinish(sb *superblock, iters uint64, e *sbExit, tainted, entryExtra uint64) (uint32, bool) {
+func (c *CPU) sbFinish(sb *superblock, iters uint64, e *sbExit) (uint32, bool) {
 	if c.sbArms != nil {
 		c.sbArms.finish(sb, iters, e.done)
 	}
@@ -418,7 +418,7 @@ func (c *CPU) sbFinish(sb *superblock, iters uint64, e *sbExit, tainted, entryEx
 	if done == 0 {
 		return e.pc, false
 	}
-	clean := iters*it.clean + e.clean - tainted
+	clean := iters*it.clean + e.clean - c.sbTainted
 	c.stats.Instructions += done
 	c.stats.CleanSkips += clean
 	c.stats.TaintedSteps += done - clean
@@ -426,8 +426,8 @@ func (c *CPU) sbFinish(sb *superblock, iters uint64, e *sbExit, tainted, entryEx
 	c.stats.Stores += iters*it.stores + e.stores
 	c.stats.Branches += iters*it.branches + e.branches
 	c.stats.SuperblockInstrs += done
-	c.pipe.cycles += iters*it.cyc + e.cyc + entryExtra
-	c.pipe.stallCycles += iters*it.stalls + e.stalls + entryExtra
+	c.pipe.cycles += iters*it.cyc + e.cyc + c.sbEntryExtra
+	c.pipe.stallCycles += iters*it.stalls + e.stalls + c.sbEntryExtra
 	c.pipe.flushCycles += iters*it.flush + e.flush
 	c.pipe.loadDst = e.loadDst
 	return e.pc, true
@@ -450,10 +450,10 @@ func (c *CPU) sbStoreDeopt(addr, w uint32) {
 // through a tainted address, one its range guard rejects, or a tainted
 // store while taint watches are registered; otherwise it stores the value
 // with its taint, as execMemFast does.
-func (c *CPU) sbStore(sb *superblock, op *sbOp, iters, tainted, entryExtra uint64) (npc uint32, ok, exited bool) {
+func (c *CPU) sbStore(sb *superblock, op *sbOp, iters uint64) (npc uint32, ok, exited bool) {
 	if c.regTaint[op.a] != taint.None {
 		c.sbArm(armStoreAddr+1, false)
-		npc, ok = c.sbExitBefore(sb, op, iters, tainted, entryExtra, &c.stats.SbDeoptTaintedAddr)
+		npc, ok = c.sbExitBefore(sb, op, iters, &c.stats.SbDeoptTaintedAddr)
 		return npc, ok, true
 	}
 	addr := c.regs[op.a] + op.imm
@@ -461,7 +461,7 @@ func (c *CPU) sbStore(sb *superblock, op *sbOp, iters, tainted, entryExtra uint6
 	if addr&(w-1) != 0 || addr < c.textEnd {
 		c.sbArm(armStoreAddr, false)
 		c.sbStoreDeopt(addr, w)
-		npc, ok = c.sbFinish(sb, iters, &sb.exits[op.exit], tainted, entryExtra)
+		npc, ok = c.sbFinish(sb, iters, &sb.exits[op.exit])
 		return npc, ok, true
 	}
 	vec := c.regTaint[op.b]
@@ -469,7 +469,7 @@ func (c *CPU) sbStore(sb *superblock, op *sbOp, iters, tainted, entryExtra uint6
 		if len(c.watches) != 0 {
 			c.sbArm(armStoreAddr, false)
 			c.sbArm(armStoreValue+1, false)
-			npc, ok = c.sbExitBefore(sb, op, iters, tainted, entryExtra, &c.stats.SbDeoptHook)
+			npc, ok = c.sbExitBefore(sb, op, iters, &c.stats.SbDeoptHook)
 			return npc, ok, true
 		}
 		c.sbArm(armStoreValue+1, true)
@@ -489,18 +489,19 @@ func (c *CPU) sbStore(sb *superblock, op *sbOp, iters, tainted, entryExtra uint6
 
 // sbExitBefore leaves the trace before op, which the block path then
 // re-executes, and books the deopt under reason.
-func (c *CPU) sbExitBefore(sb *superblock, op *sbOp, iters, tainted, entryExtra uint64, reason *uint64) (uint32, bool) {
+func (c *CPU) sbExitBefore(sb *superblock, op *sbOp, iters uint64, reason *uint64) (uint32, bool) {
 	c.stats.SuperblockDeopts++
 	*reason++
-	return c.sbFinish(sb, iters, &sb.exits[op.exit], tainted, entryExtra)
+	return c.sbFinish(sb, iters, &sb.exits[op.exit])
 }
 
-// sbPropagate is execALU and execShift for a trace op whose operands are
-// not clean (or, for a compare, whose homes are not): Table 1's rule
-// applied beside the value v the trace computed, with the same untaint
-// write-through and provenance hook. instrs is the exact retired count
-// before the op.
-func (c *CPU) sbPropagate(op *sbOp, v uint32, instrs uint64) {
+// sbPropagate is execALU and execShift for op i of a trace, in iteration
+// iters, whose operands are not clean (or, for a compare, whose homes are
+// not): Table 1's rule applied beside the value v the trace computed,
+// with the same untaint write-through and provenance hook. The op counts
+// as a tainted step.
+func (c *CPU) sbPropagate(op *sbOp, v uint32, iters uint64, i int) {
+	c.sbTainted++
 	a := c.operand(isa.Register(op.a))
 	b := c.operand(isa.Register(op.b))
 	if op.flags&sbfImmB != 0 {
@@ -516,9 +517,21 @@ func (c *CPU) sbPropagate(op *sbOp, v uint32, instrs uint64) {
 	dst := isa.Register(op.dst)
 	c.SetReg(dst, v, res.Out)
 	if c.prov != nil {
-		c.provProp(dst, res.Out, a, b, op.pc, instrs)
+		c.provProp(dst, res.Out, a, b, op.pc, c.sbInstrs(iters, i))
 	}
 }
+
+// sbInstrs is the exact retired count before op i of iteration iters of
+// the running trace (every op is one instruction), for the provenance
+// hooks' event timestamps.
+func (c *CPU) sbInstrs(iters uint64, i int) uint64 {
+	return c.stats.Instructions + iters*c.sbLen + uint64(i)
+}
+
+// hooked reports whether tainted-operand ALU work must leave the trace:
+// with an event sink and provenance both attached, the block path syncs
+// its lazy state before the provenance hook emits events.
+func (c *CPU) hooked() bool { return c.events != nil && c.prov != nil }
 
 // The arms of runSuperblock's taint tests, which the generated
 // differential must all reach (sbgen_test.go): for each test, its clean
@@ -594,22 +607,19 @@ func (a *sbArmCount) finish(sb *superblock, iters, partial uint64) {
 // one full iteration fits the budget.
 func (c *CPU) runSuperblock(sb *superblock, max uint64) (uint32, bool) {
 	ops := sb.ops
-	n := uint64(len(ops))
+	c.sbLen = uint64(len(ops))
 	// The entry-edge load-use hazard: charged once if the first op ever
 	// retires, mirroring StepBlock's dynamic prevDst at chain entry.
-	var entryExtra uint64
+	c.sbEntryExtra, c.sbTainted = 0, 0
 	if ld := c.pipe.loadDst; ld != isa.RegZero && (uint8(ld) == sb.hz0a || uint8(ld) == sb.hz0b) {
-		entryExtra = 1
+		c.sbEntryExtra = 1
 	}
 	iterBudget := ^uint64(0)
 	if max > 0 {
-		iterBudget = (max - c.stats.Instructions) / n
+		iterBudget = (max - c.stats.Instructions) / c.sbLen
 	}
 	m := c.flatMem
-	// hooked: tainted-operand ALU work must leave for the block path,
-	// which syncs its lazy state before the provenance hook emits events.
-	hooked := c.events != nil && c.prov != nil
-	var iters, tainted uint64
+	var iters uint64
 	i := 0
 	for {
 		op := &ops[i]
@@ -705,24 +715,24 @@ func (c *CPU) runSuperblock(sb *superblock, max uint64) (uint32, bool) {
 				(op.homes&c.homesMask == 0 || c.homeClean(isa.Register(op.a)) && c.homeClean(isa.Register(op.b))) {
 				c.SetReg(isa.Register(op.dst), v, taint.None)
 			} else {
-				c.sbArm(armCompare+1, !hooked)
-				if hooked {
-					return c.sbExitBefore(sb, op, iters, tainted, entryExtra, &c.stats.SbDeoptHook)
+				if c.hooked() {
+					c.sbArm(armCompare+1, false)
+					return c.sbExitBefore(sb, op, iters, &c.stats.SbDeoptHook)
 				}
-				c.sbPropagate(op, v, c.stats.Instructions+iters*n+uint64(i))
-				tainted++
+				c.sbArm(armCompare+1, true)
+				c.sbPropagate(op, v, iters, i)
 			}
 			i++
 			continue
 		case sbLW:
 			if t != taint.None {
 				c.sbArm(armLoadAddr+1, false)
-				return c.sbExitBefore(sb, op, iters, tainted, entryExtra, &c.stats.SbDeoptTaintedAddr)
+				return c.sbExitBefore(sb, op, iters, &c.stats.SbDeoptTaintedAddr)
 			}
 			addr := c.regs[op.a] + op.imm
 			if addr < nullPage || addr&3 != 0 {
 				c.sbArm(armLoadAddr, false)
-				return c.sbExitBefore(sb, op, iters, tainted, entryExtra, &c.stats.SbDeoptMemFault)
+				return c.sbExitBefore(sb, op, iters, &c.stats.SbDeoptMemFault)
 			}
 			w, wv := m.WordAt(addr)
 			rd := isa.Register(op.dst)
@@ -730,7 +740,7 @@ func (c *CPU) runSuperblock(sb *superblock, max uint64) (uint32, bool) {
 			if wv != taint.None {
 				c.sbArm(armLoadValue+1, true)
 				if c.prov != nil {
-					c.provLoad(rd, addr, op.pc, c.stats.Instructions+iters*n+uint64(i))
+					c.provLoad(rd, addr, op.pc, c.sbInstrs(iters, i))
 				}
 			}
 			c.setHome(rd, addr, 4)
@@ -739,13 +749,13 @@ func (c *CPU) runSuperblock(sb *superblock, max uint64) (uint32, bool) {
 		case sbLB, sbLBU, sbLH, sbLHU:
 			if t != taint.None {
 				c.sbArm(armLoadAddr+1, false)
-				return c.sbExitBefore(sb, op, iters, tainted, entryExtra, &c.stats.SbDeoptTaintedAddr)
+				return c.sbExitBefore(sb, op, iters, &c.stats.SbDeoptTaintedAddr)
 			}
 			addr := c.regs[op.a] + op.imm
 			w := sbWidth[op.code]
 			if addr < nullPage || addr&(w-1) != 0 {
 				c.sbArm(armLoadAddr, false)
-				return c.sbExitBefore(sb, op, iters, tainted, entryExtra, &c.stats.SbDeoptMemFault)
+				return c.sbExitBefore(sb, op, iters, &c.stats.SbDeoptMemFault)
 			}
 			v, vec := loadFlat(m, op.code, addr)
 			rd := isa.Register(op.dst)
@@ -753,7 +763,7 @@ func (c *CPU) runSuperblock(sb *superblock, max uint64) (uint32, bool) {
 			if vec != taint.None {
 				c.sbArm(armLoadValue+1, true)
 				if c.prov != nil {
-					c.provLoad(rd, addr, op.pc, c.stats.Instructions+iters*n+uint64(i))
+					c.provLoad(rd, addr, op.pc, c.sbInstrs(iters, i))
 				}
 			}
 			c.setHome(rd, addr, int(w))
@@ -774,13 +784,13 @@ func (c *CPU) runSuperblock(sb *superblock, max uint64) (uint32, bool) {
 					continue
 				}
 			}
-			if npc, ok, exited := c.sbStore(sb, op, iters, tainted, entryExtra); exited {
+			if npc, ok, exited := c.sbStore(sb, op, iters); exited {
 				return npc, ok
 			}
 			i++
 			continue
 		case sbSB, sbSH:
-			if npc, ok, exited := c.sbStore(sb, op, iters, tainted, entryExtra); exited {
+			if npc, ok, exited := c.sbStore(sb, op, iters); exited {
 				return npc, ok
 			}
 			i++
@@ -809,7 +819,7 @@ func (c *CPU) runSuperblock(sb *superblock, max uint64) (uint32, bool) {
 					c.sbArm(armBranch+1, true)
 					c.untaintWithHome(isa.Register(op.a))
 					c.untaintWithHome(isa.Register(op.b))
-					tainted++
+					c.sbTainted++
 				}
 			}
 			if c.cov != nil {
@@ -820,12 +830,12 @@ func (c *CPU) runSuperblock(sb *superblock, max uint64) (uint32, bool) {
 				c.cov.hit(op.pc, to)
 			}
 			if taken != (op.flags&sbfExpTaken != 0) {
-				return c.sbFinish(sb, iters, &sb.exits[op.exitT], tainted, entryExtra)
+				return c.sbFinish(sb, iters, &sb.exits[op.exitT])
 			}
 			if op.flags&sbfLoop != 0 {
 				iters++
 				if iters >= iterBudget {
-					return c.sbFinish(sb, iters, &sb.exits[0], tainted, entryExtra)
+					return c.sbFinish(sb, iters, &sb.exits[0])
 				}
 				i = 0
 				continue
@@ -839,7 +849,7 @@ func (c *CPU) runSuperblock(sb *superblock, max uint64) (uint32, bool) {
 			if op.flags&sbfLoop != 0 {
 				iters++
 				if iters >= iterBudget {
-					return c.sbFinish(sb, iters, &sb.exits[0], tainted, entryExtra)
+					return c.sbFinish(sb, iters, &sb.exits[0])
 				}
 				i = 0
 				continue
@@ -851,12 +861,12 @@ func (c *CPU) runSuperblock(sb *superblock, max uint64) (uint32, bool) {
 		if t == taint.None {
 			c.SetReg(isa.Register(op.dst), v, taint.None)
 		} else {
-			c.sbArm(armALU+1, !hooked)
-			if hooked {
-				return c.sbExitBefore(sb, op, iters, tainted, entryExtra, &c.stats.SbDeoptHook)
+			if c.hooked() {
+				c.sbArm(armALU+1, false)
+				return c.sbExitBefore(sb, op, iters, &c.stats.SbDeoptHook)
 			}
-			c.sbPropagate(op, v, c.stats.Instructions+iters*n+uint64(i))
-			tainted++
+			c.sbArm(armALU+1, true)
+			c.sbPropagate(op, v, iters, i)
 		}
 		i++
 	}
