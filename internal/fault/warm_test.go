@@ -3,8 +3,12 @@ package fault
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"runtime"
 	"testing"
+
+	"repro/internal/metrics"
+	"repro/internal/obs"
 )
 
 // allocRuns is the campaign size of BenchmarkFaultCampaign and
@@ -84,5 +88,42 @@ func TestCampaignHistoryIndependence(t *testing.T) {
 		} else if !bytes.Equal(data, cold) {
 			t.Errorf("campaign %d (warm, %d workers) reports differently from the cold one", i+1, workers)
 		}
+	}
+}
+
+// TestCampaignMetricsFold: the report's metrics are the hand-summed
+// metrics of every run, each run re-executed on its own, and the kept
+// per-run records still hold their own run's snapshot, so an accumulator
+// that adopts a run's maps fails here.
+func TestCampaignMetricsFold(t *testing.T) {
+	targets := prepare(t, false)
+	injectors := Injectors()
+	cfg := Config{Seed: 3, Runs: 2 * len(targets) * len(injectors), Workers: 2}
+	rep, err := Campaign(cfg, targets, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := metrics.Snapshot{
+		Counters: map[string]uint64{},
+		Gauges:   map[string]float64{},
+	}
+	for i, r := range rep.Results {
+		seed := int64(obs.SplitMix64(uint64(cfg.Seed), uint64(i)))
+		alone := runOne(targets[i%len(targets)], injectors[(i/len(targets))%len(injectors)], i, seed)
+		if !reflect.DeepEqual(r.Metrics, alone.Metrics) {
+			t.Errorf("run %d's kept metrics differ from the run re-executed alone", i)
+		}
+		for k, v := range alone.Metrics.Counters {
+			want.Counters[k] += v
+		}
+		for k, v := range alone.Metrics.Gauges {
+			want.Gauges[k] += v
+		}
+		if len(alone.Metrics.Histograms) != 0 {
+			t.Fatalf("run %d carries histograms; sum them here too", i)
+		}
+	}
+	if !reflect.DeepEqual(rep.Metrics, want) {
+		t.Errorf("report metrics are not the sum of the runs'\n got  %v\n want %v", rep.Metrics, want)
 	}
 }
