@@ -109,7 +109,8 @@ func NewEventSink(capacity int) *EventSink {
 
 // Stream registers fn to receive every event as it is emitted, before it
 // enters the ring. Subscribers run on the emitting goroutine — keep them
-// cheap, and never let them touch the machine.
+// cheap. An event carries its pc and retired count; a subscriber must not
+// read the machine, whose pc and counters may lag mid-block or mid-trace.
 func (s *EventSink) Stream(fn func(Event)) { s.streams = append(s.streams, fn) }
 
 // Emit records one event.

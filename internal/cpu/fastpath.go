@@ -627,17 +627,6 @@ chain:
 					}
 					clean = true
 				} else {
-					if c.events != nil && c.prov != nil {
-						// The provenance hook takes its pc and retired
-						// count as arguments, but the event it emits goes
-						// to a host callback that may read the machine:
-						// sync the lazy state for it. Only tainted-operand
-						// work pays this.
-						c.pc = pc
-						c.flushRetired(done, cleanN)
-						c.flushPipe(cyc, stalls, prevDst)
-						done, cleanN, cyc, stalls = 0, 0, 0, 0
-					}
 					c.execALU(d.in, pc, c.stats.Instructions+done)
 				}
 			case isa.KindCompare:
@@ -649,15 +638,6 @@ chain:
 					c.execALUClean(d)
 					clean = true
 				} else {
-					if c.events != nil && c.prov != nil {
-						// Compares untaint by default, but ablation
-						// propagators can produce tainted results, and
-						// pointer-taint events, here too.
-						c.pc = pc
-						c.flushRetired(done, cleanN)
-						c.flushPipe(cyc, stalls, prevDst)
-						done, cleanN, cyc, stalls = 0, 0, 0, 0
-					}
 					c.execALU(d.in, pc, c.stats.Instructions+done)
 				}
 			case isa.KindShift:
@@ -665,12 +645,6 @@ chain:
 					c.execALUClean(d)
 					clean = true
 				} else {
-					if c.events != nil && c.prov != nil {
-						c.pc = pc
-						c.flushRetired(done, cleanN)
-						c.flushPipe(cyc, stalls, prevDst)
-						done, cleanN, cyc, stalls = 0, 0, 0, 0
-					}
 					c.execShift(d.in, pc, c.stats.Instructions+done)
 				}
 			case isa.KindLoad, isa.KindStore:

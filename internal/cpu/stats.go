@@ -79,8 +79,7 @@ type Stats struct {
 	//                 checked dereference, where the block path consults
 	//                 the detector;
 	//   Hook        — a tainted store value while taint watches are
-	//                 registered, or tainted-operand work while an event
-	//                 sink and provenance are both attached;
+	//                 registered;
 	//   SelfModify  — a store's range guard found its address inside
 	//                 text, or a text invalidation dropped the trace;
 	//   MemFault    — misaligned/null load or store address caught by

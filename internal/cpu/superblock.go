@@ -21,10 +21,8 @@ import (
 // A trace leaves only where the block path does something it cannot:
 // the checked dereference (a load or store whose address register is
 // tainted, where the block path consults the detector), a tainted store
-// value while taint watches are registered, tainted-operand work while
-// both an event sink and provenance are attached (the block path syncs
-// its lazy state for that hook), and the store-to-text, null-page and
-// misalignment guards. Each such exit leaves before the op with the
+// value while taint watches are registered, and the store-to-text,
+// null-page and misalignment guards. Each such exit leaves before the op with the
 // machine state byte-identical to what the block path would have at that
 // pc, and the block path re-executes the op with its full check set.
 // Stats, pipeline, and clean-skip accounting collapse to per-iteration
@@ -528,11 +526,6 @@ func (c *CPU) sbInstrs(iters uint64, i int) uint64 {
 	return c.stats.Instructions + iters*c.sbLen + uint64(i)
 }
 
-// hooked reports whether tainted-operand ALU work must leave the trace:
-// with an event sink and provenance both attached, the block path syncs
-// its lazy state before the provenance hook emits events.
-func (c *CPU) hooked() bool { return c.events != nil && c.prov != nil }
-
 // The arms of runSuperblock's taint tests, which the generated
 // differential must all reach (sbgen_test.go): for each test, its clean
 // arm and then its tainted one.
@@ -715,10 +708,6 @@ func (c *CPU) runSuperblock(sb *superblock, max uint64) (uint32, bool) {
 				(op.homes&c.homesMask == 0 || c.homeClean(isa.Register(op.a)) && c.homeClean(isa.Register(op.b))) {
 				c.SetReg(isa.Register(op.dst), v, taint.None)
 			} else {
-				if c.hooked() {
-					c.sbArm(armCompare+1, false)
-					return c.sbExitBefore(sb, op, iters, &c.stats.SbDeoptHook)
-				}
 				c.sbArm(armCompare+1, true)
 				c.sbPropagate(op, v, iters, i)
 			}
@@ -861,10 +850,6 @@ func (c *CPU) runSuperblock(sb *superblock, max uint64) (uint32, bool) {
 		if t == taint.None {
 			c.SetReg(isa.Register(op.dst), v, taint.None)
 		} else {
-			if c.hooked() {
-				c.sbArm(armALU+1, false)
-				return c.sbExitBefore(sb, op, iters, &c.stats.SbDeoptHook)
-			}
 			c.sbArm(armALU+1, true)
 			c.sbPropagate(op, v, iters, i)
 		}
