@@ -302,8 +302,8 @@ type Result struct {
 	// snapshot's Stats for per-session work.
 	Stats cpu.Stats
 	// Metrics is the session machine's full metrics snapshot (CPU, memory,
-	// kernel) captured when the session ended. Each fork fills its own
-	// registry, so capture is race-free; Summarize merges them value-wise.
+	// kernel) captured when the session ended. Each fork's capture reads
+	// only that fork, so it is race-free; Summarize sums them value-wise.
 	Metrics metrics.Snapshot
 	Err     error
 }
@@ -359,9 +359,10 @@ type Summary struct {
 	// Instructions is the total retired across all sessions, measured from
 	// base (normally the snapshot's Stats) — the sessions' own work.
 	Instructions uint64
-	// Metrics is the value-wise merge of every session's metrics snapshot,
-	// plus a campaign.session_instructions histogram of per-session work.
-	// Merging is commutative and associative, so a parallel campaign's
+	// Metrics is the value-wise sum of every session's metrics snapshot,
+	// plus a campaign.session_instructions histogram of per-session work,
+	// folded into one accumulator that shares nothing with the results.
+	// The sum is commutative and associative, so a parallel campaign's
 	// aggregate equals a sequential one's.
 	Metrics metrics.Snapshot
 }
@@ -385,9 +386,9 @@ func Summarize(rs []Result, base cpu.Stats) Summary {
 			s.Instructions += work
 			h.Observe(float64(work))
 		}
-		s.Metrics = s.Metrics.Merge(r.Metrics)
+		s.Metrics.Add(r.Metrics)
 	}
-	s.Metrics = s.Metrics.Merge(hist.Snapshot())
+	s.Metrics.Add(hist.Snapshot())
 	s.Errors, s.Detected = s.Outcomes["error"], s.Outcomes["detected"]
 	s.TimedOut, s.Crashed = s.Outcomes["timeout"], s.Outcomes["crashed"]
 	return s

@@ -408,18 +408,77 @@ func (m *Machine) SetTracer(w io.Writer, limit uint64) { m.CPU.SetTracer(w, limi
 // Profile returns the instruction mix in descending count order.
 func (m *Machine) Profile() []cpu.OpcodeCount { return m.CPU.Profile() }
 
-// Metrics aggregates every subsystem's counters into one metrics
-// snapshot for text/JSON exposition; campaign workers capture one per
-// session and merge them deterministically.
-func (m *Machine) Metrics() metrics.Snapshot {
-	r := metrics.New()
-	m.CPU.FillMetrics(r)
-	m.Mem.FillMetrics(r)
-	m.Kernel.FillMetrics(r)
-	if m.Caches != nil {
-		m.Caches.FillMetrics(r)
+// deoptKeys are the sb.deopts_by_reason metric names, in the order of
+// cpu.Stats.DeoptReasons.
+var deoptKeys = func() []string {
+	var keys []string
+	for _, d := range (cpu.Stats{}).DeoptReasons() {
+		keys = append(keys, metrics.Labeled("sb.deopts_by_reason", "reason", d.Reason))
 	}
-	return r.Snapshot()
+	return keys
+}()
+
+// Metrics names every machine counter: it reads the CPU, memory, kernel
+// and cache accessors into one snapshot for text/JSON exposition, which
+// campaign workers capture per session and fold deterministically. The
+// hot loops keep raw struct counters (a map write per retired instruction
+// would wreck the fast path); this is the one place they get names.
+// trace.* appears only with an event sink, prov.* and mem.prov_words
+// only with provenance, cache.* only with a hierarchy; every
+// sb.deopts_by_reason key appears, even at zero.
+func (m *Machine) Metrics() metrics.Snapshot {
+	s, p, k := m.CPU.Stats(), m.CPU.Pipe(), m.Kernel.Stats()
+	events, pt := m.CPU.Events(), m.CPU.ProvTable()
+	c := make(map[string]uint64, 21+len(deoptKeys)+12) // + trace, prov, cache
+	c["cpu.instructions"] = s.Instructions
+	c["cpu.loads"] = s.Loads
+	c["cpu.stores"] = s.Stores
+	c["cpu.branches"] = s.Branches
+	c["cpu.syscalls"] = s.Syscalls
+	c["cpu.alerts"] = s.Alerts
+	c["cpu.block_hits"] = s.BlockHits
+	c["cpu.block_misses"] = s.BlockMisses
+	c["cpu.clean_skips"] = s.CleanSkips
+	c["cpu.tainted_steps"] = s.TaintedSteps
+	c["sb.runs"] = s.SuperblockRuns
+	c["sb.instructions"] = s.SuperblockInstrs
+	c["sb.deopts"] = s.SuperblockDeopts
+	for i, d := range s.DeoptReasons() {
+		c[deoptKeys[i]] = d.Count
+	}
+	c["pipe.cycles"] = p.Cycles
+	c["pipe.stalls"] = p.Stalls
+	c["pipe.flushes"] = p.Flushes
+	c["pipe.mem_penalty_cycles"] = p.MemPenalties
+	c["mem.tainted_store_bytes"] = m.Mem.TaintedBytesWritten()
+	c["mem.cow_faults"] = m.Mem.COWFaults()
+	c["kernel.bytes_read"] = k.BytesRead
+	c["kernel.tainted_bytes"] = k.TaintedBytes
+	if events != nil {
+		c["trace.events"] = events.Total()
+		c["trace.events_dropped"] = events.Dropped()
+	}
+	if pt != nil {
+		c["prov.origins"] = uint64(pt.NumOrigins())
+		c["prov.labels"] = uint64(pt.NumLabels())
+	}
+	if h := m.Caches; h != nil {
+		l1, l2 := h.L1Stats(), h.L2Stats()
+		c["cache.l1.hits"] = l1.Hits
+		c["cache.l1.misses"] = l1.Misses
+		c["cache.l1.evictions"] = l1.Evictions
+		c["cache.l1.writebacks"] = l1.Writebacks
+		c["cache.l2.hits"] = l2.Hits
+		c["cache.l2.misses"] = l2.Misses
+		c["cache.l2.evictions"] = l2.Evictions
+		c["cache.l2.writebacks"] = l2.Writebacks
+	}
+	g := make(map[string]float64, 2)
+	g["mem.resident_bytes"] = float64(m.Mem.ResidentBytes())
+	if m.Mem.ProvEnabled() {
+		g["mem.prov_words"] = float64(m.Mem.ProvWords())
+	}
+	return metrics.Snapshot{Counters: c, Gauges: g}
 }
 
 // Events returns the structured trace events recorded so far (oldest

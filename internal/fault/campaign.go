@@ -321,7 +321,8 @@ type Report struct {
 	// run explaining which cleared taint origins were lost (or that
 	// provenance was off and nobody can say).
 	SilentLosses []string `json:"silent_losses,omitempty"`
-	// Metrics is the value-wise merge of every run's machine metrics.
+	// Metrics is the value-wise sum of every run's machine metrics, folded
+	// into one accumulator that shares nothing with the kept Results.
 	Metrics metrics.Snapshot `json:"metrics"`
 	// Results carries every per-run record in index order (omitted from
 	// compact reports).
@@ -444,7 +445,7 @@ func Campaign(cfg Config, targets []*Target, keepResults bool) (*Report, error) 
 		cell.Runs++
 		cell.Outcomes[r.Class]++
 		rep.Outcomes[r.Class]++
-		rep.Metrics = rep.Metrics.Merge(r.Metrics)
+		rep.Metrics.Add(r.Metrics)
 		// The fold walks results in index order, so the retained flights
 		// are the first anomalies by run index regardless of worker count.
 		rep.Keep(r.Flight)

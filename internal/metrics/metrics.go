@@ -1,16 +1,17 @@
 // Package metrics is a small stdlib-only metrics layer for the simulator:
 // named counters, gauges, and fixed-bucket histograms collected into a
-// Registry, frozen into a Snapshot for exposition (sorted text or JSON),
-// and merged deterministically across campaign workers.
+// Registry, frozen into a Snapshot for exposition (sorted text, JSON or
+// Prometheus), and folded deterministically across campaign workers.
 //
 // The hot interpreter loops keep their raw struct counters (cpu.Stats,
 // mem's tainted-store/COW counts, kernel.InputStats) — a map lookup per
-// retired instruction would wreck the fast path — and each subsystem
-// instead implements a FillMetrics bridge that publishes those counters
-// into a Registry on demand. Determinism falls out of the arithmetic:
-// Snapshot holds plain maps keyed by name, Merge sums value-wise, and
-// summation is order-independent, so a parallel campaign's merged
-// snapshot is byte-identical to a sequential one's.
+// retired instruction would wreck the fast path — and core.Machine.Metrics
+// names them, filling a Snapshot straight from the subsystems' accessors.
+// The Registry serves the service's live counters and histograms.
+// Determinism falls out of the arithmetic: Snapshot holds plain maps
+// keyed by name, Add sums value-wise in place, and summation is
+// order-independent, so a parallel campaign's folded snapshot is
+// byte-identical to a sequential one's.
 package metrics
 
 import (
@@ -150,46 +151,10 @@ func AddLabels(key string, kv ...string) string {
 // Relabel returns a copy of the snapshot with the given label pairs
 // merged into every key — how a service scopes one session's machine
 // metrics by tenant and engine before folding them into a fleet view.
-// Keys that collide after relabeling sum (counters/histograms) or keep
-// the last value (gauges), mirroring Merge.
+// Keys that collide after relabeling sum, as in Add.
 func (s Snapshot) Relabel(kv ...string) Snapshot {
-	out := Snapshot{}
-	if len(s.Counters) > 0 {
-		out.Counters = make(map[string]uint64, len(s.Counters))
-		for k, v := range s.Counters {
-			out.Counters[AddLabels(k, kv...)] += v
-		}
-	}
-	if len(s.Gauges) > 0 {
-		out.Gauges = make(map[string]float64, len(s.Gauges))
-		for k, v := range s.Gauges {
-			out.Gauges[AddLabels(k, kv...)] = v
-		}
-	}
-	if len(s.Histograms) > 0 {
-		out.Histograms = make(map[string]HistogramSnapshot, len(s.Histograms))
-		for k, h := range s.Histograms {
-			nk := AddLabels(k, kv...)
-			base, ok := out.Histograms[nk]
-			if !ok {
-				out.Histograms[nk] = HistogramSnapshot{
-					Bounds: append([]float64(nil), h.Bounds...),
-					Counts: append([]uint64(nil), h.Counts...),
-					Sum:    h.Sum,
-					Count:  h.Count,
-				}
-				continue
-			}
-			base.Sum += h.Sum
-			base.Count += h.Count
-			if boundsEqual(base.Bounds, h.Bounds) {
-				for i := range base.Counts {
-					base.Counts[i] += h.Counts[i]
-				}
-			}
-			out.Histograms[nk] = base
-		}
-	}
+	var out Snapshot
+	out.add(s, func(k string) string { return AddLabels(k, kv...) })
 	return out
 }
 
@@ -351,45 +316,56 @@ func (r *Registry) Snapshot() Snapshot {
 	return s
 }
 
-// Merge returns the value-wise sum of s and o: counters and gauges sum,
+// Merge returns the value-wise sum of s and o as a new snapshot that
+// shares nothing with either. Merge is commutative and associative,
+// which is what makes a parallel campaign's aggregate independent of
+// worker scheduling.
+func (s Snapshot) Merge(o Snapshot) Snapshot {
+	var out Snapshot
+	out.Add(s)
+	out.Add(o)
+	return out
+}
+
+// Add folds o into s in place, value-wise: counters and gauges sum, and
 // histograms with matching bounds merge bucket-for-bucket (mismatched
 // bounds keep s's buckets and fold o into sum/count only, so totals stay
-// honest). Merge is commutative and associative, which is what makes a
-// parallel campaign's aggregate independent of worker scheduling.
-func (s Snapshot) Merge(o Snapshot) Snapshot {
-	out := Snapshot{}
-	if len(s.Counters)+len(o.Counters) > 0 {
-		out.Counters = make(map[string]uint64, len(s.Counters)+len(o.Counters))
-		for k, v := range s.Counters {
-			out.Counters[k] = v
+// honest). s never takes o's maps or slices, so o is left as it was
+// whatever later folds do to s; an accumulator must start from the zero
+// Snapshot, not from a copy of a snapshot it does not own.
+func (s *Snapshot) Add(o Snapshot) { s.add(o, nil) }
+
+// add is Add with every key of o passed through key first (nil keeps
+// keys as they are).
+func (s *Snapshot) add(o Snapshot, key func(string) string) {
+	if key == nil {
+		key = func(k string) string { return k }
+	}
+	if len(o.Counters) > 0 {
+		if s.Counters == nil {
+			s.Counters = make(map[string]uint64, len(o.Counters))
 		}
 		for k, v := range o.Counters {
-			out.Counters[k] += v
+			s.Counters[key(k)] += v
 		}
 	}
-	if len(s.Gauges)+len(o.Gauges) > 0 {
-		out.Gauges = make(map[string]float64, len(s.Gauges)+len(o.Gauges))
-		for k, v := range s.Gauges {
-			out.Gauges[k] = v
+	if len(o.Gauges) > 0 {
+		if s.Gauges == nil {
+			s.Gauges = make(map[string]float64, len(o.Gauges))
 		}
 		for k, v := range o.Gauges {
-			out.Gauges[k] += v
+			s.Gauges[key(k)] += v
 		}
 	}
-	if len(s.Histograms)+len(o.Histograms) > 0 {
-		out.Histograms = make(map[string]HistogramSnapshot, len(s.Histograms)+len(o.Histograms))
-		for k, h := range s.Histograms {
-			out.Histograms[k] = HistogramSnapshot{
-				Bounds: append([]float64(nil), h.Bounds...),
-				Counts: append([]uint64(nil), h.Counts...),
-				Sum:    h.Sum,
-				Count:  h.Count,
-			}
+	if len(o.Histograms) > 0 {
+		if s.Histograms == nil {
+			s.Histograms = make(map[string]HistogramSnapshot, len(o.Histograms))
 		}
 		for k, h := range o.Histograms {
-			base, ok := out.Histograms[k]
+			k = key(k)
+			base, ok := s.Histograms[k]
 			if !ok {
-				out.Histograms[k] = HistogramSnapshot{
+				s.Histograms[k] = HistogramSnapshot{
 					Bounds: append([]float64(nil), h.Bounds...),
 					Counts: append([]uint64(nil), h.Counts...),
 					Sum:    h.Sum,
@@ -404,10 +380,9 @@ func (s Snapshot) Merge(o Snapshot) Snapshot {
 					base.Counts[i] += h.Counts[i]
 				}
 			}
-			out.Histograms[k] = base
+			s.Histograms[k] = base
 		}
 	}
-	return out
 }
 
 func boundsEqual(a, b []float64) bool {

@@ -312,3 +312,36 @@ func TestAddLabelsAndRelabel(t *testing.T) {
 		t.Errorf("merge after relabel = %v", m.Counters)
 	}
 }
+
+// TestAddLeavesArgument: an accumulator folds in place but never takes
+// its argument's maps or bucket slices, so folding more into it later
+// leaves every earlier argument as it was.
+func TestAddLeavesArgument(t *testing.T) {
+	mk := func() Snapshot {
+		r := New()
+		r.Counter("c").Add(1)
+		r.Gauge("g").Set(2)
+		r.Histogram("h", []float64{10}).Observe(4)
+		return r.Snapshot()
+	}
+	first, want := mk(), mk()
+	var acc Snapshot
+	acc.Add(first)
+	acc.Add(mk())
+	acc.Add(mk())
+	if !reflect.DeepEqual(first, want) {
+		t.Errorf("Add changed its argument: %+v, want %+v", first, want)
+	}
+	if acc.Counters["c"] != 3 || acc.Gauges["g"] != 6 {
+		t.Errorf("accumulated %v %v", acc.Counters, acc.Gauges)
+	}
+	if h := acc.Histograms["h"]; h.Count != 3 || h.Sum != 12 || !reflect.DeepEqual(h.Counts, []uint64{3, 0}) {
+		t.Errorf("accumulated histogram %+v", h)
+	}
+	// Relabel is the same fold through a key map: colliding keys sum.
+	s := Snapshot{Counters: map[string]uint64{`c{t="a"}`: 1, "c": 2}, Gauges: map[string]float64{`g{t="a"}`: 1, "g": 2}}
+	r := s.Relabel("t", "a")
+	if r.Counters[`c{t="a"}`] != 3 || r.Gauges[`g{t="a"}`] != 3 || len(r.Counters) != 1 || len(r.Gauges) != 1 {
+		t.Errorf("relabel with collisions = %v %v", r.Counters, r.Gauges)
+	}
+}

@@ -366,7 +366,7 @@ func (s *Server) absorb(tenant, kind string, res *SessionResult) {
 	}
 	scoped := m.Relabel("tenant", tenant, "kind", kind)
 	s.regMu.Lock()
-	s.machSnap = s.machSnap.Merge(scoped)
+	s.machSnap.Add(scoped)
 	s.regMu.Unlock()
 }
 
@@ -540,11 +540,13 @@ func (s *Server) metricsSnapshot() metrics.Snapshot {
 	point.Gauge("serve.resident_bytes").Set(float64(s.cfg.MemGauge()))
 	point.Gauge("serve.high_water_bytes").Set(float64(s.cfg.HighWater))
 
+	// absorb folds into machSnap in place, so it is read under the lock.
 	s.regMu.Lock()
-	live := s.reg.Snapshot()
-	mach := s.machSnap
+	out := s.reg.Snapshot()
+	out.Add(s.machSnap)
 	s.regMu.Unlock()
-	return live.Merge(mach).Merge(point.Snapshot())
+	out.Add(point.Snapshot())
+	return out
 }
 
 // retryAfter stamps backpressure responses. One second is deliberate: the
