@@ -1,12 +1,11 @@
 GO ?= go
 FUZZTIME ?= 10s
-CAMPAIGN_N ?= 64
 FAULT_N ?= 144
 FAULT_SEED ?= 1
 PTFUZZ_SEED ?= 1
 PTFUZZ_EXECS ?= 4000
 
-.PHONY: build vet lint test race race-campaign fault-campaign fuzz fuzz-smoke serve-smoke obs-smoke bench bench-check bench-json bench-fuzz bench-superblock bench-obs trace-check ci
+.PHONY: build vet lint test race race-campaign fault-campaign fuzz fuzz-smoke serve-smoke obs-smoke bench bench-check bench-fuzz bench-superblock bench-obs trace-check ci
 
 build:
 	$(GO) build ./...
@@ -41,9 +40,11 @@ race:
 # one machine assembler and snapshot/fork; ptdbg boots through it too. internal/prov rides along because every
 # fork's label table reads its snapshot's frozen table concurrently, and
 # internal/asm because concurrent forks build and read an image's lazy
-# symbol index when they attribute alerts.
+# symbol index when they attribute alerts. internal/metrics rides along
+# because campaign folds and ptserve's absorb and scrape share snapshot
+# accumulators.
 race-campaign:
-	$(GO) test -race -shuffle=on ./internal/mem/ ./internal/asm/ ./internal/prov/ ./internal/campaign/ ./internal/core/ ./internal/attack/ ./internal/kernel/ ./internal/netsim/ ./internal/fault/ ./internal/fuzz/ ./internal/cpu/ ./internal/serve/ ./internal/obs/ ./cmd/ptattack/ ./cmd/ptcampaign/ ./cmd/ptfault/ ./cmd/ptfuzz/ ./cmd/ptserve/ ./cmd/ptrun/ ./cmd/ptdbg/
+	$(GO) test -race -shuffle=on ./internal/metrics/ ./internal/mem/ ./internal/asm/ ./internal/prov/ ./internal/campaign/ ./internal/core/ ./internal/attack/ ./internal/kernel/ ./internal/netsim/ ./internal/fault/ ./internal/fuzz/ ./internal/cpu/ ./internal/serve/ ./internal/obs/ ./cmd/ptattack/ ./cmd/ptcampaign/ ./cmd/ptfault/ ./cmd/ptfuzz/ ./cmd/ptserve/ ./cmd/ptrun/ ./cmd/ptdbg/
 
 # A small seeded fault-injection campaign with the invariants enforced:
 # zero SilentTaintLoss on the un-faulted control arm, every attack-arm
@@ -91,17 +92,14 @@ bench:
 	$(GO) test -run '^$$' -bench CovMap -benchmem ./internal/cpu/
 	$(GO) test -run '^$$' -bench Candidate -benchmem ./internal/fuzz/
 	$(GO) test -run '^$$' -bench FaultCampaign -benchmem ./internal/fault/
+	$(GO) test -run '^$$' -bench MachineMetrics -benchmem ./internal/attack/
+	$(GO) test -run '^$$' -bench Summarize -benchmem ./internal/campaign/
 
 # The end-to-end benchmark harness (bench/, its own module) vetted and
 # tested against the library as it stands, so a library change that
 # breaks the harness's build fails CI.
 bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
-
-# Machine-readable campaign benchmark: sessions/sec, ns/instr, and
-# fork-from-snapshot vs boot-from-image timings (see DESIGN.md).
-bench-json:
-	$(GO) run ./cmd/ptcampaign -n $(CAMPAIGN_N) -json BENCH_campaign.json
 
 # Machine-readable fuzzing-farm benchmark: execs/sec with the fork +
 # coverage + classification overhead included (see BENCH_fuzz.json).

@@ -34,8 +34,8 @@ func main() {
 	}
 }
 
-// benchReport is the BENCH_campaign.json schema: the machine-readable
-// perf trajectory for the snapshot/fork + campaign layer.
+// benchReport is the -json report's schema: the machine-readable perf
+// figures for the snapshot/fork + campaign layer.
 type benchReport struct {
 	Scenario   string `json:"scenario"`
 	Sessions   int    `json:"sessions"`
