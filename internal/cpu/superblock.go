@@ -22,9 +22,10 @@ import (
 // the checked dereference (a load or store whose address register is
 // tainted, where the block path consults the detector), a tainted store
 // value while taint watches are registered, and the store-to-text,
-// null-page and misalignment guards. Each such exit leaves before the op with the
-// machine state byte-identical to what the block path would have at that
-// pc, and the block path re-executes the op with its full check set.
+// null-page and misalignment guards. Each such exit leaves before the op
+// with the machine state byte-identical to what the block path would have
+// at that pc, and the block path re-executes the op with its full check
+// set.
 // Stats, pipeline, and clean-skip accounting collapse to per-iteration
 // constants materialized once at exit, less a count of the ops whose
 // operands turned out tainted. Probes, profiling, cache buses, and the
