@@ -540,11 +540,14 @@ func (s *Server) metricsSnapshot() metrics.Snapshot {
 	point.Gauge("serve.resident_bytes").Set(float64(s.cfg.MemGauge()))
 	point.Gauge("serve.high_water_bytes").Set(float64(s.cfg.HighWater))
 
-	// absorb folds into machSnap in place, so it is read under the lock.
+	// absorb folds into machSnap in place, so it is copied under the lock,
+	// into maps presized to it; the other folds run after the lock.
+	var out metrics.Snapshot
 	s.regMu.Lock()
-	out := s.reg.Snapshot()
 	out.Add(s.machSnap)
+	live := s.reg.Snapshot()
 	s.regMu.Unlock()
+	out.Add(live)
 	out.Add(point.Snapshot())
 	return out
 }
